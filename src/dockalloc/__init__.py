@@ -13,6 +13,7 @@ from .allocator import (
     DockMove,
     LogEntry,
     OptimizeResult,
+    PhaseStats,
     TradeoffResult,
     best_move,
     bike_optimal,
@@ -54,7 +55,7 @@ from .posterior import (
     posterior_report,
     rebalancing_adjustment,
 )
-from .scaling import PhasePlan, PhaseStats, ScaledResult, optimize_scaled, optimize_scaled_constrained
+from .scaling import PhasePlan, optimize_scaled, optimize_scaled_constrained
 from .udf import (
     CostTable,
     FiniteProfile,

@@ -17,11 +17,12 @@ inventory; depot capacity changes never count toward the moved-dock bound.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InfeasibleError, ValidationError
-from .udf import CostSource, Number, ZeroCost
+from .udf import CostSource, CountingSource, Number, ZeroCost
 
 DEFAULT_IMPROVEMENT_THRESHOLD = 1e-11
 
@@ -156,8 +157,14 @@ class Constraints:
 
 
 @dataclass(frozen=True)
-class RunStats:
+class PhaseStats:
+    """One stride of the descent that reached the chosen state: its moves,
+    the bikes it placed or moved at its start, and its cost evaluations
+    grouped by station capacity.  The surplus deployment is not a phase."""
+
+    step: int
     iterations: int
+    bike_moves: int
     evaluations_by_capacity: dict[int, int]
 
 
@@ -170,7 +177,7 @@ class OptimizeResult:
     station_costs: tuple[Number, ...]
     depot_bikes: int
     deployed_docks: int
-    stats: RunStats | None = None
+    phases: tuple[PhaseStats, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -230,6 +237,29 @@ _ADD_BIKE = "AB"
 _SIDES = (_REMOVE_EMPTY, _REMOVE_FULL, _ADD_EMPTY, _ADD_FULL, _REMOVE_BIKE, _ADD_BIKE)
 
 
+def _shift(d: list[int], b: list[int], move: DockMove, a: int) -> None:
+    """Apply ``move`` with stride ``a`` to the dock and bike lists in place."""
+    i, j, h = move.i, move.j, move.h
+    if move.kind == "o":
+        d[i] -= a
+        d[j] += a
+    elif move.kind == "e":
+        b[i] -= a
+        b[j] += a
+    elif move.kind == "E":
+        d[i] -= a
+        d[h] += a
+        b[h] -= a
+        b[j] += a
+    elif move.kind == "O":
+        b[i] -= a
+        d[j] += a
+        d[h] -= a
+        b[h] += a
+    else:
+        raise AssertionError(move.kind)
+
+
 class _Descent:
     """Best-move search over the four dock-move kinds via six side heaps.
 
@@ -249,7 +279,6 @@ class _Descent:
         *,
         stride: int = 1,
         threshold: float = DEFAULT_IMPROVEMENT_THRESHOLD,
-        eval_tally: dict[int, int] | None = None,
     ):
         self.sources = list(sources)
         self.n = len(self.sources)
@@ -259,18 +288,11 @@ class _Descent:
         self.b = list(bikes)
         self.stride = stride
         self.threshold = threshold
-        self.eval_tally = eval_tally
         self.version = [0] * self.n
         self.heaps: dict[str, list[tuple[Number, int, int]]] = {k: [] for k in _SIDES}
-        self.objective: Number = sum(self._cost(s, self.d[s], self.b[s]) for s in range(self.n))
+        self.objective: Number = sum(self.sources[s].cost(self.d[s], self.b[s]) for s in range(self.n))
         for s in range(self.n):
             self._push_station(s)
-
-    def _cost(self, s: int, d: int, b: int) -> Number:
-        if self.eval_tally is not None:
-            key = d + b
-            self.eval_tally[key] = self.eval_tally.get(key, 0) + 1
-        return self.sources[s].cost(d, b)
 
     def _side_delta(self, s: int, side: str) -> Number | None:
         """Cost change of the side effect at station ``s``, or None if the
@@ -278,30 +300,31 @@ class _Descent:
         a = self.stride
         d, b = self.d[s], self.b[s]
         cap = d + b
+        cost = self.sources[s].cost
         if side == _REMOVE_EMPTY:
             if d < a or cap - a < self.lower[s]:
                 return None
-            return self._cost(s, d - a, b) - self._cost(s, d, b)
+            return cost(d - a, b) - cost(d, b)
         if side == _REMOVE_FULL:
             if b < a or cap - a < self.lower[s]:
                 return None
-            return self._cost(s, d, b - a) - self._cost(s, d, b)
+            return cost(d, b - a) - cost(d, b)
         if side == _ADD_EMPTY:
             if cap + a > self.upper[s]:
                 return None
-            return self._cost(s, d + a, b) - self._cost(s, d, b)
+            return cost(d + a, b) - cost(d, b)
         if side == _ADD_FULL:
             if cap + a > self.upper[s]:
                 return None
-            return self._cost(s, d, b + a) - self._cost(s, d, b)
+            return cost(d, b + a) - cost(d, b)
         if side == _REMOVE_BIKE:
             if b < a:
                 return None
-            return self._cost(s, d + a, b - a) - self._cost(s, d, b)
+            return cost(d + a, b - a) - cost(d, b)
         if side == _ADD_BIKE:
             if d < a:
                 return None
-            return self._cost(s, d - a, b + a) - self._cost(s, d, b)
+            return cost(d - a, b + a) - cost(d, b)
         raise AssertionError(side)
 
     def _push_station(self, s: int) -> None:
@@ -375,26 +398,8 @@ class _Descent:
         return best[1]
 
     def apply(self, move: DockMove) -> None:
-        a = self.stride
+        _shift(self.d, self.b, move, self.stride)
         i, j, h = move.i, move.j, move.h
-        if move.kind == "o":
-            self.d[i] -= a
-            self.d[j] += a
-        elif move.kind == "e":
-            self.b[i] -= a
-            self.b[j] += a
-        elif move.kind == "E":
-            self.d[i] -= a
-            self.d[h] += a
-            self.b[h] -= a
-            self.b[j] += a
-        elif move.kind == "O":
-            self.b[i] -= a
-            self.d[j] += a
-            self.d[h] -= a
-            self.b[h] += a
-        else:
-            raise AssertionError(move.kind)
         self.objective = self.objective + move.delta
         for s in {i, j} | ({h} if h is not None else set()):
             self.version[s] += 1
@@ -460,22 +465,6 @@ def _extended_problem(constraints: Constraints, tables: Sequence[CostSource]):
     return sources, lower, upper, caps
 
 
-def _trajectory(
-    engine: _Descent,
-    max_len: int | None,
-) -> tuple[list[tuple[DockMove, Number]], list[tuple[tuple[int, ...], tuple[int, ...], Number]]]:
-    snapshots = [(*engine.state(), engine.objective)]
-    applied: list[tuple[DockMove, Number]] = []
-    while max_len is None or len(applied) < max_len:
-        move = engine.best_move()
-        if move is None:
-            break
-        engine.apply(move)
-        applied.append((move, engine.objective))
-        snapshots.append((*engine.state(), engine.objective))
-    return applied, snapshots
-
-
 def _run_additions(
     sources,
     lower,
@@ -485,20 +474,119 @@ def _run_additions(
     extra: int,
     *,
     threshold: float,
-    eval_tally,
 ) -> tuple[list[tuple[DockMove, Number]], _Descent]:
     """Deploy up to ``extra`` fresh docks out of the depot, best station
     first.  Each step is one greedy depot-outgoing move, which tracks the
     optimum as the dock budget grows one dock at a time."""
     depot = len(sources) - 1
     docks = list(docks)
-    lower = list(lower)
     upper = list(upper)
     docks[depot] += extra
     upper[depot] += extra
-    engine = _Descent(sources, lower, upper, docks, bikes, threshold=threshold, eval_tally=eval_tally)
+    engine = _Descent(sources, lower, upper, docks, bikes, threshold=threshold)
     moves = engine.run(max_iterations=extra, from_station=depot)
     return moves, engine
+
+
+def _unit_descent(sources, lower, upper, docks, bikes, threshold, max_budget):
+    """The plain descent: one unit-stride run from the bike-optimal
+    baseline.  By prefix optimality, the state for budget ``t`` is the one
+    after its first ``t`` moves."""
+    tally: dict[int, int] = {}
+    counted = [CountingSource(s, tally) for s in sources]
+    start = bike_optimal([d + b for d, b in zip(docks, bikes)], sum(bikes), counted)
+    engine = _Descent(counted, lower, upper, start.empty_docks, start.bikes, threshold=threshold)
+    initial = engine.objective
+    applied = engine.run(max_iterations=max_budget)
+
+    def reach(budget: int | None):
+        moves = applied[:budget]
+        d, b = list(start.empty_docks), list(start.bikes)
+        for move, _ in moves:
+            _shift(d, b, move, 1)
+        phase = PhaseStats(1, len(moves), sum(start.bikes), dict(sorted(tally.items())))
+        return d, b, moves, (phase,)
+
+    return initial, reach
+
+
+def _sweep(
+    constraints: Constraints,
+    tables: Sequence[CostSource],
+    descend,
+    threshold: float,
+    tradeoff: tuple[int, int] | None = None,
+) -> tuple[OptimizeResult, int | None, int]:
+    """The one solver core: every public solver is this sweep.
+
+    Each candidate buys ``new`` docks (only with ``tradeoff = (k, M)``,
+    which leaves ``z = M - k*new`` moves; otherwise ``z`` is the move cap)
+    and deploys ``deployed`` surplus docks.  Moved docks count twice and
+    new or deployed ones once against the distance allowance ``2z + new``,
+    so the descent gets the budget ``(2z + new - deployed) // 2``.  The
+    state ``descend`` reaches for that budget then deploys the surplus from
+    the depot, and the cheapest candidate wins, ties going to fewer new and
+    then fewer deployed docks.  Without a cap there is one candidate: the
+    uncapped descent, then all the surplus.  Returns the result with the
+    chosen ``z`` and ``new``.
+
+    ``descend(sources, lower, upper, docks, bikes, threshold, max_budget)``
+    gets the extended problem, its baseline state and the largest budget
+    any candidate asks for.  It returns the objective at its start state and
+    ``reach(budget)``, which gives the docks, bikes, moves (each with the
+    objective after it) and phase stats for a move budget (None: uncapped).
+    The sweep calls ``reach`` once per distinct budget.
+    """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValidationError(f"improvement threshold must be finite and >= 0, got {threshold}")
+    n = len(tables)
+    sources, lower, upper, caps = _extended_problem(constraints, tables)
+    extra = constraints.dock_budget - sum(constraints.baseline_capacities)
+    headroom = sum(constraints.upper) - sum(constraints.baseline_capacities)
+    if tradeoff is not None:
+        unit_cost, joint = tradeoff
+        purchases = range(joint // unit_cost + 1)
+    else:
+        unit_cost, joint = 0, constraints.max_moves
+        purchases = range(1)
+    if joint is None:
+        candidates = [(0, None, extra, None)]
+    else:
+        candidates = []
+        for new in purchases:
+            z = joint - unit_cost * new
+            allowance = 2 * z + new
+            for deployed in range(min(extra + new, headroom, allowance) + 1):
+                candidates.append((new, z, deployed, (allowance - deployed) // 2))
+
+    bikes = list(constraints.baseline_bikes) + [constraints.bike_budget - sum(constraints.baseline_bikes)]
+    docks = [c - b for c, b in zip(caps, bikes)]
+    initial, reach = descend(sources, lower, upper, docks, bikes, threshold, joint)
+    reached = {}
+    best = None
+    for new, z, deployed, budget in candidates:
+        if budget not in reached:
+            reached[budget] = reach(budget)
+        d, b, moves, phases = reached[budget]
+        additions, engine = _run_additions(sources, lower, upper, d, b, deployed, threshold=threshold)
+        key = (engine.objective, new, deployed)
+        if best is None or key < best[0]:
+            best = (key, z, new, engine, moves + additions, phases, len(additions))
+
+    _, z, new, engine, log, phases, added = best
+    docks, bikes = engine.state()
+    station_costs = tuple(sources[s].cost(docks[s], bikes[s]) for s in range(n))
+    result = OptimizeResult(
+        allocation=Allocation(docks[:n], bikes[:n]),
+        objective=sum(station_costs),
+        initial_objective=initial,
+        log=tuple(LogEntry(it, move, value) for it, (move, value) in enumerate(log, start=1)),
+        station_costs=station_costs,
+        depot_bikes=bikes[n],
+        deployed_docks=added,
+        phases=phases,
+    )
+    return result, z, new
 
 
 def optimize(
@@ -506,7 +594,6 @@ def optimize(
     tables: Sequence[CostSource],
     *,
     improvement_threshold: float = DEFAULT_IMPROVEMENT_THRESHOLD,
-    collect_stats: bool = False,
 ) -> OptimizeResult:
     """Minimize total cost under budgets, box bounds and the moved-dock cap.
 
@@ -518,85 +605,7 @@ def optimize(
     greedily out of the depot, each deployment consuming half a move of the
     operational budget.
     """
-    n = len(tables)
-    sources, lower, upper, caps = _extended_problem(constraints, tables)
-    tally: dict[int, int] | None = {} if collect_stats else None
-
-    start = bike_optimal(caps, constraints.bike_budget, sources)
-    engine = _Descent(
-        sources,
-        lower,
-        upper,
-        start.empty_docks,
-        start.bikes,
-        threshold=improvement_threshold,
-        eval_tally=tally,
-    )
-    z = constraints.max_moves
-    applied, snapshots = _trajectory(engine, z)
-
-    extra = constraints.dock_budget - sum(constraints.baseline_capacities)
-    deploy_cap = min(extra, sum(constraints.upper) - sum(constraints.baseline_capacities))
-    if z is not None:
-        deploy_cap = min(deploy_cap, 2 * z)
-
-    best: tuple | None = None  # (objective, moves_used, additions, engine)
-    if deploy_cap <= 0:
-        best = (engine.objective, applied, [], engine)
-    elif z is None:
-        docks, bikes = engine.state()
-        moves, add_engine = _run_additions(
-            sources, lower, upper, docks, bikes, deploy_cap,
-            threshold=improvement_threshold, eval_tally=tally,
-        )
-        best = (add_engine.objective, applied, moves, add_engine)
-    else:
-        for deployed in range(deploy_cap + 1):
-            budget = z - (deployed + 1) // 2
-            if budget < 0:
-                break
-            prefix = min(budget, len(applied))
-            docks, bikes, _ = snapshots[prefix]
-            moves, add_engine = _run_additions(
-                sources, lower, upper, docks, bikes, deployed,
-                threshold=improvement_threshold, eval_tally=tally,
-            )
-            if best is None or add_engine.objective < best[0]:
-                best = (add_engine.objective, applied[:prefix], moves, add_engine)
-
-    _, prefix, additions, final = best
-    return _assemble_result(n, final, snapshots[0][2], prefix, additions, tally)
-
-
-def _assemble_result(
-    n: int,
-    engine: _Descent,
-    start_objective: Number,
-    prefix: list[tuple[DockMove, Number]],
-    additions: list[tuple[DockMove, Number]],
-    tally: dict[int, int] | None,
-) -> OptimizeResult:
-    docks, bikes = engine.state()
-    station_costs = tuple(engine.sources[s].cost(docks[s], bikes[s]) for s in range(n))
-    objective = sum(station_costs)
-
-    log = tuple(
-        LogEntry(it, move, value)
-        for it, (move, value) in enumerate(prefix + additions, start=1)
-    )
-    stats = None
-    if tally is not None:
-        stats = RunStats(iterations=len(log), evaluations_by_capacity=dict(sorted(tally.items())))
-    return OptimizeResult(
-        allocation=Allocation(docks[:n], bikes[:n]),
-        objective=objective,
-        initial_objective=start_objective,
-        log=log,
-        station_costs=station_costs,
-        depot_bikes=bikes[n],
-        deployed_docks=len(additions),
-        stats=stats,
-    )
+    return _sweep(constraints, tables, _unit_descent, improvement_threshold)[0]
 
 
 def optimize_tradeoff(
@@ -604,55 +613,18 @@ def optimize_tradeoff(
     tables: Sequence[CostSource],
     *,
     improvement_threshold: float = DEFAULT_IMPROVEMENT_THRESHOLD,
-    collect_stats: bool = False,
 ) -> TradeoffResult:
     """Jointly choose how many docks to move and how many new ones to buy.
 
     With unit cost ``k`` per new dock and a joint budget ``M``, buying
     ``new`` docks leaves ``M - k*new`` moves; each candidate count warm
     starts from the shared greedy move trajectory, then deploys purchases
-    one best station at a time.  Returns the best candidate.
+    one best station at a time.  Returns the best candidate;
+    ``constraints.max_moves`` plays no part.
     """
     if constraints.tradeoff is None:
         raise ValidationError("constraints.tradeoff must be set for optimize_tradeoff")
-    k, joint = constraints.tradeoff
-    n = len(tables)
-    sources, lower, upper, caps = _extended_problem(constraints, tables)
-    tally: dict[int, int] | None = {} if collect_stats else None
-
-    start = bike_optimal(caps, constraints.bike_budget, sources)
-    engine = _Descent(
-        sources,
-        lower,
-        upper,
-        start.empty_docks,
-        start.bikes,
-        threshold=improvement_threshold,
-        eval_tally=tally,
-    )
-    applied, snapshots = _trajectory(engine, joint)
-
-    base_extra = constraints.dock_budget - sum(constraints.baseline_capacities)
-    headroom = sum(constraints.upper) - sum(constraints.baseline_capacities)
-
-    best: tuple | None = None
-    for new in range(joint // k + 1):
-        z = joint - k * new
-        allowance = 2 * z + new  # distance budget: moved docks count twice, new ones once
-        for deployed in range(min(base_extra + new, headroom, allowance) + 1):
-            budget = (allowance - deployed) // 2
-            prefix = min(budget, len(applied))
-            docks, bikes, _ = snapshots[prefix]
-            moves, add_engine = _run_additions(
-                sources, lower, upper, docks, bikes, deployed,
-                threshold=improvement_threshold, eval_tally=tally,
-            )
-            key = (add_engine.objective, new, deployed)
-            if best is None or key < best[0]:
-                best = (key, z, new, applied[:prefix], moves, add_engine)
-
-    _, z, new, prefix, additions, final = best
-    result = _assemble_result(n, final, snapshots[0][2], prefix, additions, tally)
+    result, z, new = _sweep(constraints, tables, _unit_descent, improvement_threshold, constraints.tradeoff)
     return TradeoffResult(result=result, chosen_moves=z, chosen_new_docks=new)
 
 

@@ -34,13 +34,16 @@ from .udf import LazyDailyCost, load_cost_table, save_cost_table
 
 
 def _thread_count() -> int:
+    """Worker threads for per-station table builds: ``DOCKALLOC_THREADS``,
+    else 1.  The builds are mostly short numpy calls under the interpreter
+    lock, and two threads measured slower than one."""
     raw = os.environ.get("DOCKALLOC_THREADS")
     if raw:
         try:
             return max(1, int(raw))
         except ValueError as exc:
             raise ValidationError(f"DOCKALLOC_THREADS must be an integer, got {raw!r}") from exc
-    return min(8, os.cpu_count() or 1)
+    return 1
 
 
 def _parallel_map(fn, items):
@@ -116,6 +119,7 @@ def _load_stations(path) -> list[dict]:
     doc = json.loads(Path(path).read_text())
     rows = doc["stations"] if isinstance(doc, dict) else doc
     stations = []
+    seen: set[str] = set()
     for row in rows:
         try:
             stations.append(
@@ -133,6 +137,9 @@ def _load_stations(path) -> list[dict]:
             raise ValidationError(f"malformed station row {row}: {exc}") from exc
         if stations[-1]["current_bikes"] > stations[-1]["current_docks"]:
             raise ValidationError(f"station {stations[-1]['id']!r} has more bikes than docks")
+        if stations[-1]["id"] in seen:
+            raise ValidationError(f"duplicate station id {stations[-1]['id']!r}")
+        seen.add(stations[-1]["id"])
     return stations
 
 
@@ -319,30 +326,36 @@ def cmd_optimize(args) -> int:
 
     tradeoff_info = None
     if constraints.tradeoff is not None:
+        # the joint budget sets the moves and the plain descent reaches them
+        ignored = [
+            flag
+            for flag, given in (
+                ("--max-moves", constraints.max_moves is not None),
+                ("--solver", solver != "greedy"),
+                ("--granularity", args.granularity > 1),
+            )
+            if given
+        ]
+        if ignored:
+            raise ValidationError(f"--tradeoff cannot be combined with {', '.join(ignored)}")
         trade = optimize_tradeoff(constraints, sources, improvement_threshold=args.threshold)
         result = trade.result
         tradeoff_info = {"chosen_moves": trade.chosen_moves, "chosen_new_docks": trade.chosen_new_docks}
-        stats_doc = None
     elif plan is not None:
-        scaled = optimize_scaled(constraints, sources, plan, improvement_threshold=args.threshold)
-        result = scaled
-        stats_doc = {
-            "phases": [
-                {
-                    "step": ph.step,
-                    "iterations": ph.iterations,
-                    "bike_moves": ph.bike_moves,
-                    "evaluations_by_capacity": {str(k): v for k, v in ph.evaluations_by_capacity.items()},
-                }
-                for ph in scaled.phases
-            ]
-        }
+        result = optimize_scaled(constraints, sources, plan, improvement_threshold=args.threshold)
     else:
-        result = optimize(constraints, sources, improvement_threshold=args.threshold, collect_stats=True)
-        stats_doc = {
-            "iterations": result.stats.iterations,
-            "evaluations_by_capacity": {str(k): v for k, v in result.stats.evaluations_by_capacity.items()},
-        }
+        result = optimize(constraints, sources, improvement_threshold=args.threshold)
+    stats_doc = {
+        "phases": [
+            {
+                "step": ph.step,
+                "iterations": ph.iterations,
+                "bike_moves": ph.bike_moves,
+                "evaluations_by_capacity": {str(k): v for k, v in ph.evaluations_by_capacity.items()},
+            }
+            for ph in result.phases
+        ]
+    }
 
     out = _outdir(args)
     before_caps = list(constraints.baseline_capacities)
@@ -374,8 +387,7 @@ def cmd_optimize(args) -> int:
     _write_json(out / "allocation.json", allocation_doc)
     _write_moves_csv(out / "moves.csv", meta, result.log)
     _write_curve_csv(out / "curve.csv", initial, result.log)
-    if stats_doc is not None:
-        _write_json(out / "stats.json", stats_doc)
+    _write_json(out / "stats.json", stats_doc)
     wrote_map = _write_geojson(out / "map.geojson", meta, before_caps, after_caps)
 
     config = {

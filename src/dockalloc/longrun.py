@@ -126,11 +126,7 @@ def _daily_cost(profile: Profile, capacity: int, bikes: int, capacity_limit: int
 def longrun_cost(profile: Profile, d: int, b: int, capacity_limit: int = DEFAULT_CAPACITY_LIMIT) -> float:
     """Average daily cost under the stationary day-start distribution for
     capacity d + b; the split between d and b is irrelevant."""
-    if d < 0 or b < 0:
-        raise ValidationError(f"negative state d={d}, b={b}")
-    capacity = d + b
-    chain = day_chain(profile, capacity, capacity_limit)
-    return float(sum(chain.pi[k] * float(_daily_cost(profile, capacity, k, capacity_limit)) for k in range(capacity + 1)))
+    return LongrunCost(profile, capacity_limit).cost(d, b)
 
 
 class LongrunCost:
@@ -138,12 +134,8 @@ class LongrunCost:
     single-day tables, so the allocator runs unchanged on either objective."""
 
     def __init__(self, profile: Profile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
-        if isinstance(profile, PoissonProfile):
-            profile.validate()
-            self.station_id = profile.station_id
-        else:
-            profile.validate()
-            self.station_id = ""
+        profile.validate()
+        self.station_id = profile.station_id if isinstance(profile, PoissonProfile) else ""
         self.profile = profile
         self.capacity_limit = capacity_limit
         self._by_capacity: dict[int, float] = {}

@@ -13,22 +13,22 @@ four).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .allocator import (
-    Allocation,
     Constraints,
     DockMove,
-    LogEntry,
+    OptimizeResult,
+    PhaseStats,
     _Descent,
-    _extended_problem,
-    _run_additions,
+    _sweep,
     bike_optimal,
     dock_move_distance,
     DEFAULT_IMPROVEMENT_THRESHOLD,
 )
 from .errors import ValidationError
-from .udf import CostSource, Number
+from .udf import CostSource, CountingSource, Number
 
 # Projection allowance multiplier between constrained phases: the distance
 # between consecutive phase optima is bounded by a cubic polynomial of the
@@ -83,26 +83,6 @@ class PhasePlan:
         return PhasePlan(kept)
 
 
-@dataclass(frozen=True)
-class PhaseStats:
-    step: int
-    iterations: int
-    bike_moves: int
-    evaluations_by_capacity: dict[int, int]
-
-
-@dataclass(frozen=True)
-class ScaledResult:
-    allocation: Allocation
-    objective: Number
-    initial_objective: Number
-    log: tuple[LogEntry, ...]
-    station_costs: tuple[Number, ...]
-    depot_bikes: int
-    deployed_docks: int
-    phases: tuple[PhaseStats, ...]
-
-
 def _real_distance(docks, bikes, baseline_caps, n_real: int) -> int:
     caps = [docks[s] + bikes[s] for s in range(n_real)]
     return dock_move_distance(caps, baseline_caps[:n_real])
@@ -139,20 +119,6 @@ def _project_toward_baseline(docks, bikes, baseline_caps, n_real: int, depot: in
         budget[below] -= amount
 
 
-def _rebuild_bikes(sources, docks, bikes, tally) -> None:
-    """Exact bike re-optimization: take every bike out, add back greedily."""
-    caps = [d + b for d, b in zip(docks, bikes)]
-    total_bikes = sum(bikes)
-    tables = sources
-    if tally is not None:
-        from .udf import CountingSource
-
-        tables = [CountingSource(t, tally) for t in sources]
-    alloc = bike_optimal(caps, total_bikes, tables)
-    docks[:] = list(alloc.empty_docks)
-    bikes[:] = list(alloc.bikes)
-
-
 def _cascade(
     sources,
     lower,
@@ -173,16 +139,19 @@ def _cascade(
     phases: list[PhaseStats] = []
     for step in plan.step_sizes:
         tally: dict[int, int] = {}
+        counted = [CountingSource(s, tally) for s in sources]
         if max_moves is not None:
             _project_toward_baseline(docks, bikes, baseline_caps, n - 1, depot, PROJECTION_FACTOR * n**3 * step)
         if step == 1:
-            _rebuild_bikes(sources, docks, bikes, tally)
+            # exact bike re-optimization: take every bike out, add back greedily
+            alloc = bike_optimal([d + b for d, b in zip(docks, bikes)], sum(bikes), counted)
+            docks, bikes = list(alloc.empty_docks), list(alloc.bikes)
             bike_moves = sum(bikes)
         else:
-            pre = _Descent(sources, lower, upper, docks, bikes, stride=step, threshold=threshold, eval_tally=tally)
+            pre = _Descent(counted, lower, upper, docks, bikes, stride=step, threshold=threshold)
             bike_moves = pre.optimize_bikes_pairwise()
             docks, bikes = list(pre.d), list(pre.b)
-        engine = _Descent(sources, lower, upper, docks, bikes, stride=step, threshold=threshold, eval_tally=tally)
+        engine = _Descent(counted, lower, upper, docks, bikes, stride=step, threshold=threshold)
         if max_moves is None:
             budget = None
         else:
@@ -199,23 +168,20 @@ def _cascade(
                 evaluations_by_capacity=dict(sorted(tally.items())),
             )
         )
-    return docks, bikes, log, phases
+    return docks, bikes, log, tuple(phases)
 
 
-def _scaled_result(n, sources, docks, bikes, start_objective, moves, phases, deployed) -> ScaledResult:
-    station_costs = tuple(sources[s].cost(docks[s], bikes[s]) for s in range(n))
-    objective = sum(station_costs)
-    log = [LogEntry(it, move, value) for it, (move, value) in enumerate(moves, start=1)]
-    return ScaledResult(
-        allocation=Allocation(tuple(docks[:n]), tuple(bikes[:n])),
-        objective=objective,
-        initial_objective=start_objective,
-        log=tuple(log),
-        station_costs=station_costs,
-        depot_bikes=bikes[n],
-        deployed_docks=deployed,
-        phases=tuple(phases),
-    )
+def _scaled_descent(plan: PhasePlan, sources, lower, upper, docks, bikes, threshold, max_budget):
+    """The stride cascade as the sweep's descent: it starts from the
+    baseline state itself and runs once per move budget."""
+    n = len(sources) - 1
+    initial = sum(sources[s].cost(docks[s], bikes[s]) for s in range(n))
+    caps = [d + b for d, b in zip(docks, bikes)]
+
+    def reach(budget: int | None):
+        return _cascade(sources, lower, upper, caps, docks, bikes, plan, budget, threshold)
+
+    return initial, reach
 
 
 def optimize_scaled(
@@ -224,40 +190,19 @@ def optimize_scaled(
     plan: PhasePlan | None = None,
     *,
     improvement_threshold: float = DEFAULT_IMPROVEMENT_THRESHOLD,
-) -> ScaledResult:
-    """Phase-scaled descent without a moved-dock cap.
+) -> OptimizeResult:
+    """Phase-scaled descent, with or without a moved-dock cap.
 
     Ends at the same objective as the unit-stride descent whenever the plan
-    finishes at stride 1.  A finite ``constraints.max_moves`` delegates to
-    ``optimize_scaled_constrained``.
+    finishes at stride 1.  Under a finite ``constraints.max_moves`` the
+    incumbent is pulled back toward the baseline between phases far enough
+    that the next, finer phase can reach its optimum within the remaining
+    budget; each phase then runs with an iteration cap that keeps the final
+    allocation inside the allowed ball around the baseline.  The default
+    plan is powers of two up to the dock budget.
     """
-    if constraints.max_moves is not None:
-        return optimize_scaled_constrained(
-            constraints, tables, plan, improvement_threshold=improvement_threshold
-        )
-    n = len(tables)
-    sources, lower, upper, caps = _extended_problem(constraints, tables)
     plan = plan or PhasePlan.powers_of_two(constraints.dock_budget)
-
-    docks = [c - b for c, b in zip(caps, list(constraints.baseline_bikes) + [0])]
-    bikes = list(constraints.baseline_bikes) + [constraints.bike_budget - sum(constraints.baseline_bikes)]
-    docks[n] = caps[n] - bikes[n]
-    start_objective = sum(sources[s].cost(docks[s], bikes[s]) for s in range(n))
-
-    docks, bikes, moves, phases = _cascade(
-        sources, lower, upper, caps, docks, bikes, plan, None, improvement_threshold
-    )
-
-    extra = constraints.dock_budget - sum(constraints.baseline_capacities)
-    deploy_cap = min(extra, sum(constraints.upper) - sum(constraints.baseline_capacities))
-    additions: list[tuple[DockMove, Number]] = []
-    if deploy_cap > 0:
-        additions, engine = _run_additions(
-            sources, lower, upper, docks, bikes, deploy_cap,
-            threshold=improvement_threshold, eval_tally=None,
-        )
-        docks, bikes = list(engine.d), list(engine.b)
-    return _scaled_result(n, sources, docks, bikes, start_objective, moves + additions, phases, len(additions))
+    return _sweep(constraints, tables, partial(_scaled_descent, plan), improvement_threshold)[0]
 
 
 def optimize_scaled_constrained(
@@ -266,46 +211,7 @@ def optimize_scaled_constrained(
     plan: PhasePlan | None = None,
     *,
     improvement_threshold: float = DEFAULT_IMPROVEMENT_THRESHOLD,
-) -> ScaledResult:
-    """Phase-scaled descent under a finite moved-dock cap.
-
-    Between phases the incumbent is pulled back toward the baseline far
-    enough that the next, finer phase can reach its optimum within the
-    remaining budget; each phase then runs with an iteration cap that keeps
-    the final allocation inside the allowed ball around the baseline.
-    """
-    z = constraints.max_moves
-    if z is None:
-        return optimize_scaled(constraints, tables, plan, improvement_threshold=improvement_threshold)
-    n = len(tables)
-    sources, lower, upper, caps = _extended_problem(constraints, tables)
+) -> OptimizeResult:
+    """The same solver as ``optimize_scaled``, under the name of its capped use."""
     plan = plan or PhasePlan.powers_of_two(constraints.dock_budget)
-
-    base_docks = [c - b for c, b in zip(caps, list(constraints.baseline_bikes) + [0])]
-    base_bikes = list(constraints.baseline_bikes) + [constraints.bike_budget - sum(constraints.baseline_bikes)]
-    base_docks[n] = caps[n] - base_bikes[n]
-    start_objective = sum(sources[s].cost(base_docks[s], base_bikes[s]) for s in range(n))
-
-    extra = constraints.dock_budget - sum(constraints.baseline_capacities)
-    deploy_cap = min(extra, sum(constraints.upper) - sum(constraints.baseline_capacities), 2 * z)
-
-    best = None
-    for deployed in range(deploy_cap + 1):
-        budget = z - (deployed + 1) // 2
-        if budget < 0:
-            break
-        docks, bikes, moves, phases = _cascade(
-            sources, lower, upper, caps, base_docks, base_bikes, plan, budget, improvement_threshold
-        )
-        additions: list[tuple[DockMove, Number]] = []
-        if deployed:
-            additions, engine = _run_additions(
-                sources, lower, upper, docks, bikes, deployed,
-                threshold=improvement_threshold, eval_tally=None,
-            )
-            docks, bikes = list(engine.d), list(engine.b)
-        objective = sum(sources[s].cost(docks[s], bikes[s]) for s in range(n))
-        if best is None or objective < best[0]:
-            best = (objective, docks, bikes, moves + additions, phases, len(additions))
-    _, docks, bikes, moves, phases, deployed = best
-    return _scaled_result(n, sources, docks, bikes, start_objective, moves, phases, deployed)
+    return _sweep(constraints, tables, partial(_scaled_descent, plan), improvement_threshold)[0]

@@ -226,7 +226,7 @@ def test_criterion_8_move_cap_breaks_midpoint_structure():
 def test_criterion_9_city_scale_scenario_diminishing_returns():
     start = time.monotonic()
     spec = synthetic_scenario(n_stations=50, seed=2026, max_moves=150)
-    result = optimize(spec.constraints(), spec.tables(), collect_stats=True)
+    result = optimize(spec.constraints(), spec.tables())
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     assert len(result.log) == 150

@@ -200,6 +200,24 @@ class TestOptimize:
         assert result.objective == Fraction(3, 2)
         assert result.allocation == Allocation((0, 1, 1), (1, 0, 0))
 
+    @pytest.mark.parametrize("threshold", [-0.5, float("nan"), float("inf")])
+    def test_rejects_bad_improvement_threshold(self, threshold):
+        # a negative threshold made the uncapped descent cycle forever on
+        # this instance; NaN stopped it before the first move
+        from dockalloc.scaling import optimize_scaled
+
+        spec, _ = counterexample_fixtures()["midpoint_gap"]
+        constraints = dataclasses.replace(spec.constraints(), max_moves=None)
+        tables = spec.tables()
+        with pytest.raises(ValidationError, match="threshold"):
+            optimize(constraints, tables, improvement_threshold=threshold)
+        with pytest.raises(ValidationError, match="threshold"):
+            optimize_scaled(constraints, tables, improvement_threshold=threshold)
+        with pytest.raises(ValidationError, match="threshold"):
+            optimize_tradeoff(
+                dataclasses.replace(constraints, tradeoff=(1, 2)), tables, improvement_threshold=threshold
+            )
+
     def test_reference_instance_reaches_one(self):
         spec, extras = trap()
         result = optimize(spec.constraints(), spec.tables(), improvement_threshold=0.0)
@@ -352,6 +370,21 @@ class TestTradeoff:
         )
         assert trade.chosen_new_docks == 0
         assert trade.result.objective == plain.objective
+        for case in range(15):
+            rng = philox(71, case)
+            spec = random_instance(rng)
+            joint = int(rng.integers(0, 6))
+            constraints = dataclasses.replace(spec.constraints(), dock_budget=spec.dock_budget + case % 3)
+            if constraints.dock_budget > sum(constraints.upper):
+                continue
+            trade = optimize_tradeoff(
+                dataclasses.replace(constraints, tradeoff=(joint + 1, joint)), spec.tables(), improvement_threshold=0.0
+            )
+            plain = optimize(
+                dataclasses.replace(constraints, max_moves=joint), spec.tables(), improvement_threshold=0.0
+            )
+            assert (trade.chosen_moves, trade.chosen_new_docks) == (joint, 0)
+            assert trade.result == plain, case
 
     def test_zero_budget_is_bike_optimal_baseline(self):
         spec, _ = trap()

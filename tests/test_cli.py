@@ -60,6 +60,8 @@ class TestOptimizeCommand:
             out = tmp_path / solver
             assert run("optimize", "--instance", trap_instance, "--solver", solver, "--threshold", 0.0, "--out", out) == 0
             values[solver] = as_number(read_json(out / "allocation.json")["objective"])
+            phases = read_json(out / "stats.json")["phases"]
+            assert phases and all(set(ph) == {"step", "iterations", "bike_moves", "evaluations_by_capacity"} for ph in phases)
         assert values["greedy"] == values["scaling"] == values["hybrid"] == 1
 
     def test_granularity_flag(self, tmp_path):
@@ -92,6 +94,50 @@ class TestOptimizeCommand:
 
     def test_validation_exit_code(self, tmp_path):
         assert run("optimize", "--out", tmp_path / "none") == 1
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan"])
+    def test_rejects_bad_threshold(self, tmp_path, trap_instance, threshold):
+        assert run("optimize", "--instance", trap_instance, "--threshold", threshold, "--out", tmp_path / "t") == 1
+
+    @pytest.mark.parametrize(
+        "flag",
+        [("--max-moves", 1), ("--solver", "scaling"), ("--solver", "hybrid"), ("--granularity", 2)],
+        ids=["max-moves", "scaling", "hybrid", "granularity"],
+    )
+    def test_tradeoff_rejects_flags_it_would_ignore(self, tmp_path, trap_instance, flag, capsys):
+        out = tmp_path / "trade"
+        assert run("optimize", "--instance", trap_instance, "--tradeoff", "1,3", *flag, "--out", out) == 1
+        assert flag[0] in capsys.readouterr().err
+        assert not (out / "allocation.json").exists()
+
+    def test_duplicate_station_ids_rejected(self, tmp_path, capsys):
+        stations = tmp_path / "stations.json"
+        stations.write_text(
+            json.dumps(
+                [
+                    {"id": "a", "current_docks": 4, "current_bikes": 0, "l": 0, "u": 6},
+                    {"id": "dup7", "current_docks": 4, "current_bikes": 0, "l": 0, "u": 6},
+                    {"id": "dup7", "current_docks": 4, "current_bikes": 0, "l": 0, "u": 6},
+                ]
+            )
+        )
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(
+            json.dumps(
+                {
+                    "horizon": {"intervals": 1, "minutes_per_interval": 30.0, "start_hour": 0.0},
+                    "stations": [
+                        {"id": sid, "rental_rates": [0.1], "return_rates": [0.1], "flags": []}
+                        for sid in ("a", "dup7")
+                    ],
+                }
+            )
+        )
+        assert run(
+            "optimize", "--stations", stations, "--profiles", profiles,
+            "--bikes", 0, "--docks", 12, "--out", tmp_path / "dup",
+        ) == 1
+        assert "dup7" in capsys.readouterr().err
 
 
 def run_tables_for_stations(tmp_path, stations_path, table_dir):
@@ -193,6 +239,8 @@ class TestWorkflow:
     def test_thread_cap_env_var(self, monkeypatch):
         from dockalloc.cli import _thread_count
 
+        monkeypatch.delenv("DOCKALLOC_THREADS", raising=False)
+        assert _thread_count() == 1
         monkeypatch.setenv("DOCKALLOC_THREADS", "3")
         assert _thread_count() == 3
         monkeypatch.setenv("DOCKALLOC_THREADS", "zebra")
@@ -205,3 +253,28 @@ class TestWorkflow:
         report = read_json(out / "allocation.json")
         assert report["tradeoff"] is not None
         assert "chosen_new_docks" in report["tradeoff"]
+        stats = read_json(out / "stats.json")
+        assert [ph["step"] for ph in stats["phases"]] == [1]
+
+    def test_tables_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        stations = tmp_path / "stations.json"
+        stations.write_text(
+            json.dumps(
+                [
+                    {"id": "a", "current_docks": 4, "current_bikes": 0, "l": 3, "u": 6},
+                    {"id": "b", "current_docks": 4, "current_bikes": 0, "l": 3, "u": 6},
+                ]
+            )
+        )
+        profiles = run_tables_for_stations(tmp_path, stations, tmp_path / "tables")
+        outputs = {}
+        for objective in ("daily", "longrun"):
+            for threads in ("1", "2"):
+                monkeypatch.setenv("DOCKALLOC_THREADS", threads)
+                out = tmp_path / f"{objective}_{threads}"
+                assert run(
+                    "tables", "--profiles", profiles, "--stations", stations,
+                    "--objective", objective, "--out", out,
+                ) == 0
+                outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            assert outputs["1"] == outputs["2"]

@@ -172,4 +172,12 @@ class TestScaledConstrained:
                 improvement_threshold=0.0,
             )
             assert free.objective == exact[max(exact)][1]
+            for z in range(surplus.dock_budget + 1):
+                constrained = dataclasses.replace(surplus, max_moves=z)
+                greedy = optimize(constrained.constraints(), constrained.tables(), improvement_threshold=0.0)
+                for plan in (PhasePlan.powers_of_two(surplus.dock_budget), PhasePlan.hybrid()):
+                    scaled = optimize_scaled(
+                        constrained.constraints(), constrained.tables(), plan, improvement_threshold=0.0
+                    )
+                    assert scaled.objective == greedy.objective, (case, z, plan.step_sizes)
         assert checked >= 10
