@@ -33,7 +33,7 @@ from .demand import (
     save_profiles,
 )
 from .errors import CapacityLimitError, InfeasibleError, ValidationError
-from .longrun import DayChain, LongrunCost, day_chain, day_transition, longrun_cost, stationary
+from .longrun import DayChain, LongrunCost, day_chain, stationary
 from .oracle import (
     InstanceSpec,
     StationSpec,
@@ -66,7 +66,6 @@ from .udf import (
     check_multimodular,
     cost_table_from_finite,
     count_stockouts,
-    daily_cost_poisson,
     expected_cost_finite,
     interval_cost_poisson,
     load_cost_table,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -32,8 +33,8 @@ class Horizon:
     def validate(self) -> None:
         if self.intervals < 1:
             raise ValidationError(f"horizon needs at least one interval, got {self.intervals}")
-        if not self.minutes_per_interval > 0:
-            raise ValidationError(f"minutes_per_interval must be positive, got {self.minutes_per_interval}")
+        if not (math.isfinite(self.minutes_per_interval) and self.minutes_per_interval > 0):
+            raise ValidationError(f"minutes_per_interval must be finite and positive, got {self.minutes_per_interval}")
         if not 0 <= self.start_hour < 24:
             raise ValidationError(f"start_hour must lie in [0, 24), got {self.start_hour}")
 
@@ -86,6 +87,10 @@ class PoissonProfile:
             raise ValidationError(f"profile {self.station_id!r}: rate vectors differ in length")
         if not self.rental_rates:
             raise ValidationError(f"profile {self.station_id!r}: empty horizon")
+        if not (math.isfinite(self.minutes_per_interval) and self.minutes_per_interval > 0):
+            raise ValidationError(
+                f"profile {self.station_id!r}: minutes_per_interval must be finite and positive, got {self.minutes_per_interval}"
+            )
         for rates in (self.rental_rates, self.return_rates):
             for r in rates:
                 if not (r >= 0 and r == r and r != float("inf")):

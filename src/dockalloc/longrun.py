@@ -15,15 +15,7 @@ import numpy as np
 
 from .demand import PoissonProfile
 from .errors import ValidationError
-from .udf import (
-    CostTable,
-    FiniteProfile,
-    Number,
-    count_stockouts,
-    daily_coster,
-    expected_cost_finite,
-    DEFAULT_CAPACITY_LIMIT,
-)
+from .udf import DEFAULT_CAPACITY_LIMIT, CostTable, FiniteProfile, LazyDailyCost
 
 ROW_SUM_TOL = 1e-9
 RANK_TOL = 1e-10
@@ -38,34 +30,6 @@ class DayChain:
     rho: np.ndarray  # rho[x, y] = P(end day with y bikes | start with x)
     pi: np.ndarray  # stationary distribution over bike counts
     ergodic: bool  # False when the stationary solve was degenerate
-
-
-Profile = PoissonProfile | FiniteProfile
-
-
-def day_transition(profile: Profile, capacity: int, capacity_limit: int = DEFAULT_CAPACITY_LIMIT) -> np.ndarray:
-    """End-of-day bike-count distribution per start count.
-
-    Poisson profiles chain the cached interval transition matrices; finite
-    profiles simulate each atom directly (residual mass leaves the state
-    unchanged).
-    """
-    if capacity < 0:
-        raise ValidationError(f"capacity must be non-negative, got {capacity}")
-    if isinstance(profile, PoissonProfile):
-        return daily_coster(profile, capacity_limit).day_transition(capacity)
-    profile.validate()
-    m = capacity + 1
-    rho = np.zeros((m, m))
-    residual = float(profile.residual)
-    for x in range(m):
-        for events, p in profile.atoms:
-            if p == 0:
-                continue
-            final = count_stockouts(events, capacity - x, x)[1]
-            rho[x, final.bikes] += float(p)
-        rho[x, x] += residual
-    return rho
 
 
 def stationary(rho: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -111,39 +75,30 @@ def stationary(rho: np.ndarray) -> tuple[np.ndarray, bool]:
     return pi, False
 
 
-def day_chain(profile: Profile, capacity: int, capacity_limit: int = DEFAULT_CAPACITY_LIMIT) -> DayChain:
-    rho = day_transition(profile, capacity, capacity_limit)
+def day_chain(rho: np.ndarray) -> DayChain:
+    """The day-to-day chain of an end-of-day transition matrix."""
     pi, ergodic = stationary(rho)
     return DayChain(rho, pi, ergodic)
 
 
-def _daily_cost(profile: Profile, capacity: int, bikes: int, capacity_limit: int) -> Number:
-    if isinstance(profile, PoissonProfile):
-        return float(daily_coster(profile, capacity_limit).cost_vector(capacity)[bikes])
-    return expected_cost_finite(profile, capacity - bikes, bikes)
-
-
-def longrun_cost(profile: Profile, d: int, b: int, capacity_limit: int = DEFAULT_CAPACITY_LIMIT) -> float:
-    """Average daily cost under the stationary day-start distribution for
-    capacity d + b; the split between d and b is irrelevant."""
-    return LongrunCost(profile, capacity_limit).cost(d, b)
-
-
 class LongrunCost:
     """Long-run average cost exposed through the same interface as the
-    single-day tables, so the allocator runs unchanged on either objective."""
+    single-day tables, so the allocator runs unchanged on either objective.
 
-    def __init__(self, profile: Profile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
-        profile.validate()
-        self.station_id = profile.station_id if isinstance(profile, PoissonProfile) else ""
-        self.profile = profile
-        self.capacity_limit = capacity_limit
+    The cost of capacity d + b is the day's expected events averaged over
+    the stationary day-start distribution; the split between d and b is
+    irrelevant.
+    """
+
+    def __init__(self, profile: PoissonProfile | FiniteProfile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
+        self.daily = LazyDailyCost(profile, capacity_limit)
+        self.station_id = self.daily.station_id
         self._by_capacity: dict[int, float] = {}
         self._chains: dict[int, DayChain] = {}
 
     def chain(self, capacity: int) -> DayChain:
         if capacity not in self._chains:
-            self._chains[capacity] = day_chain(self.profile, capacity, self.capacity_limit)
+            self._chains[capacity] = day_chain(self.daily.day_transition(capacity))
         return self._chains[capacity]
 
     def cost(self, d: int, b: int) -> float:
@@ -151,10 +106,9 @@ class LongrunCost:
             raise ValidationError(f"negative state d={d}, b={b}")
         capacity = d + b
         if capacity not in self._by_capacity:
-            chain = self.chain(capacity)
-            self._by_capacity[capacity] = float(
-                sum(chain.pi[k] * float(_daily_cost(self.profile, capacity, k, self.capacity_limit)) for k in range(capacity + 1))
-            )
+            pi = self.chain(capacity).pi
+            daily = self.daily.cost_vector(capacity)
+            self._by_capacity[capacity] = float(sum(pi[k] * float(daily[k]) for k in range(capacity + 1)))
         return self._by_capacity[capacity]
 
     def materialize(self, capacity: int) -> CostTable:

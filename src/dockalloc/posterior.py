@@ -184,18 +184,22 @@ class ImpactEstimate:
 
 
 def _insertion_points(
-    events: Sequence[int],
-    d: int,
-    b: int,
+    day: ObservedDay,
     periods: Sequence[tuple[int, float, str]],
+    rebalancing: str,
 ) -> list[tuple[int, int, float, str]]:
-    """Position each censored period along the observed trajectory: the
-    first index at or after the previous period where the recorded state
-    (full or empty) actually holds."""
-    capacity = d + b
-    states = [b]
-    bikes = b
-    docks = d
+    """Position each censored period on the day's actual trajectory under
+    the new capacity: the first index at or after the previous period where
+    the recorded state (full or empty) holds.  The trajectory includes the
+    crews' bikes whenever their times are known; the ``none`` column, which
+    replays only the observed events, gets the same point counted in
+    observed events."""
+    spliced = bool(day.rebalancing_events) and day.event_timestamps is not None
+    events, virtual = rebalancing_adjustment(day, "optimistic") if spliced else (day.observed_events, ())
+    capacity = day.capacity_after
+    bikes = day.bikes_at_open
+    docks = capacity - bikes
+    states = [bikes]
     for x in events:
         if x == 1 and docks > 0:
             docks -= 1
@@ -213,7 +217,8 @@ def _insertion_points(
             raise ValidationError(
                 f"recorded {kind} period in interval {interval} but the observed day never reaches that state"
             )
-        out.append((pos, interval, minutes, kind))
+        crew_before = sum(virtual[:pos]) if rebalancing == "none" else 0
+        out.append((pos - crew_before, interval, minutes, kind))
         cursor = pos
     return out
 
@@ -266,7 +271,7 @@ def decreased_capacity_impact(
         if interval >= profile.intervals:
             raise ValidationError(f"period interval {interval} outside the profile horizon")
 
-    spots = _insertion_points(events, d_after, b_after, periods)
+    spots = _insertion_points(day, periods, rebalancing)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     diffs = np.empty(resamples)
     for r in range(resamples):

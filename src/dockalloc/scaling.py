@@ -205,13 +205,5 @@ def optimize_scaled(
     return _sweep(constraints, tables, partial(_scaled_descent, plan), improvement_threshold)[0]
 
 
-def optimize_scaled_constrained(
-    constraints: Constraints,
-    tables: Sequence[CostSource],
-    plan: PhasePlan | None = None,
-    *,
-    improvement_threshold: float = DEFAULT_IMPROVEMENT_THRESHOLD,
-) -> OptimizeResult:
-    """The same solver as ``optimize_scaled``, under the name of its capped use."""
-    plan = plan or PhasePlan.powers_of_two(constraints.dock_budget)
-    return _sweep(constraints, tables, partial(_scaled_descent, plan), improvement_threshold)[0]
+# The same solver under the name of its capped use.
+optimize_scaled_constrained = optimize_scaled

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -87,8 +87,8 @@ class FiniteProfile:
     def validate(self) -> None:
         total = 0
         for events, p in self.atoms:
-            if p < 0:
-                raise ValidationError(f"atom probability {p} is negative")
+            if not p >= 0:
+                raise ValidationError(f"atom probability {p} must be a non-negative number")
             for x in events:
                 if x not in (1, -1):
                     raise ValidationError(f"arrival events must be +1 or -1, got {x!r}")
@@ -208,18 +208,23 @@ def interval_cost_poisson(rental_rate: float, return_rate: float, minutes: float
 
 
 class LazyDailyCost:
-    """Day-long cost of a Poisson profile, tabulated per capacity on demand.
+    """A station's day model: for each total capacity, the expected daily
+    events per start count and the end-of-day bike-count distribution, both
+    computed on demand and kept for the life of this object.
 
-    Interval results are chained across the day: the expected events from a
-    start state accumulate backward through each interval's transition
-    matrix.  Each total capacity has its own chain; capacities are computed
-    lazily and cached since optimization runs touch few of them.
+    Poisson profiles chain interval results across the day: the expected
+    events from a start state accumulate backward through each interval's
+    transition matrix.  Finite profiles replay every atom (residual mass
+    leaves the state unchanged).  The day transition is built only when
+    ``day_transition`` asks for it; a capacity asked for there first is
+    built once, cost and transition together.
     """
 
-    def __init__(self, profile: PoissonProfile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
+    def __init__(self, profile: PoissonProfile | FiniteProfile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
         profile.validate()
         self.profile = profile
-        self.station_id = profile.station_id
+        self._finite = isinstance(profile, FiniteProfile)
+        self.station_id = "" if self._finite else profile.station_id
         self.capacity_limit = capacity_limit
         self._day_cost: dict[int, np.ndarray] = {}
         self._day_transition: dict[int, np.ndarray] = {}
@@ -234,28 +239,45 @@ class LazyDailyCost:
                 out.append(interval_cost_poisson(mu, lam, p.minutes_per_interval, capacity))
         return out
 
-    def _build(self, capacity: int) -> None:
+    def _build(self, capacity: int, transition: bool) -> None:
+        if capacity < 0:
+            raise ValidationError(f"capacity must be non-negative, got {capacity}")
         if capacity > self.capacity_limit:
             raise CapacityLimitError(
                 f"station {self.station_id!r}: capacity {capacity} exceeds the limit {self.capacity_limit}"
             )
+        m = capacity + 1
+        if self._finite:
+            p = self.profile
+            self._day_cost[capacity] = np.array([float(expected_cost_finite(p, capacity - x, x)) for x in range(m)])
+            if transition:
+                rho = np.zeros((m, m))
+                residual = float(p.residual)
+                for x in range(m):
+                    for events, prob in p.atoms:
+                        if prob != 0:
+                            rho[x, count_stockouts(events, capacity - x, x)[1].bikes] += float(prob)
+                    rho[x, x] += residual
+                self._day_transition[capacity] = rho
+            return
         results = self._intervals(capacity)
-        v = np.zeros(capacity + 1)
+        v = np.zeros(m)
         for r in reversed(results):
             v = r.expected_events + r.transition @ v
         self._day_cost[capacity] = v
-        self._day_transition[capacity] = reduce(lambda a, r: a @ r.transition, results, np.eye(capacity + 1))
+        if transition:
+            self._day_transition[capacity] = reduce(lambda a, r: a @ r.transition, results, np.eye(m))
 
     def cost_vector(self, capacity: int) -> np.ndarray:
         """Expected daily events indexed by the number of bikes at open."""
         if capacity not in self._day_cost:
-            self._build(capacity)
+            self._build(capacity, transition=False)
         return self._day_cost[capacity]
 
     def day_transition(self, capacity: int) -> np.ndarray:
         """End-of-day bike-count distribution per start count."""
         if capacity not in self._day_transition:
-            self._build(capacity)
+            self._build(capacity, transition=True)
         return self._day_transition[capacity]
 
     def cost(self, d: int, b: int) -> float:
@@ -263,20 +285,10 @@ class LazyDailyCost:
             raise ValidationError(f"negative state d={d}, b={b}")
         return float(self.cost_vector(d + b)[b])
 
-    def materialize(self, capacity: int, provenance: str = "poisson") -> "CostTable":
+    def materialize(self, capacity: int) -> "CostTable":
+        """Tabulate the day-long expected events for every split d + b <= capacity."""
         values = tuple(tuple(float(x) for x in self.cost_vector(s)) for s in range(capacity + 1))
-        return CostTable(self.station_id, capacity, values, provenance)
-
-
-@lru_cache(maxsize=None)
-def daily_coster(profile: PoissonProfile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT) -> LazyDailyCost:
-    """Shared per-profile cache so cost tables and day chains are built once."""
-    return LazyDailyCost(profile, capacity_limit)
-
-
-def daily_cost_poisson(profile: PoissonProfile, capacity: int, capacity_limit: int = DEFAULT_CAPACITY_LIMIT) -> "CostTable":
-    """Tabulate the day-long expected events for every split d + b <= capacity."""
-    return daily_coster(profile, capacity_limit).materialize(capacity)
+        return CostTable(self.station_id, capacity, values, "finite" if self._finite else "poisson")
 
 
 @dataclass(frozen=True)

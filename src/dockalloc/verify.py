@@ -22,7 +22,7 @@ from .oracle import (
 from .demand import PoissonProfile
 from .posterior import censored_subsequence
 from .scaling import PhasePlan, optimize_scaled
-from .udf import check_multimodular, cost_table_from_finite, count_stockouts, daily_coster
+from .udf import LazyDailyCost, check_multimodular, cost_table_from_finite, count_stockouts
 
 
 def _rng(seed, stream) -> np.random.Generator:
@@ -128,7 +128,7 @@ def _check_multimodularity(seed: int, instances: int) -> dict:
             return_rates=tuple(float(r) for r in rng.uniform(0, 0.3, 4)),
             minutes_per_interval=30.0,
         )
-        table = daily_coster(profile).materialize(int(rng.integers(3, 12)))
+        table = LazyDailyCost(profile).materialize(int(rng.integers(3, 12)))
         violations = check_multimodular(table)
         if violations:
             failures.append(f"poisson case {case}: {violations[0]}")
@@ -149,7 +149,7 @@ def _check_simulation_agreement(seed: int, cases: int, trials: int) -> dict:
         cap = int(rng.integers(0, 11))
         b = int(rng.integers(0, cap + 1))
         d = cap - b
-        analytic = daily_coster(profile).cost(d, b)
+        analytic = LazyDailyCost(profile).cost(d, b)
         mean, stderr = simulate_cost(profile, d, b, trials, seed=seed + case)
         if abs(analytic - mean) > 3 * stderr + 1e-9:
             failures.append(f"case {case}: analytic {analytic:.5f} vs simulated {mean:.5f} +/- {stderr:.5f}")

@@ -10,7 +10,7 @@ import pytest
 
 from dockalloc.allocator import optimize
 from dockalloc.demand import PoissonProfile
-from dockalloc.longrun import LongrunCost, longrun_cost
+from dockalloc.longrun import LongrunCost
 from dockalloc.oracle import (
     brute_force_optimum,
     counterexample_fixtures,
@@ -24,10 +24,10 @@ from dockalloc.posterior import censored_subsequence
 from dockalloc.scaling import PhasePlan, optimize_scaled
 from dockalloc.udf import (
     FiniteProfile,
+    LazyDailyCost,
     check_multimodular,
     cost_table_from_finite,
     count_stockouts,
-    daily_coster,
 )
 
 from conftest import philox
@@ -119,7 +119,7 @@ def test_criterion_3_multimodularity_of_random_tables():
             tuple(float(x) for x in rng.uniform(0, 0.3, 6)),
             tuple(float(x) for x in rng.uniform(0, 0.3, 6)),
         )
-        table = daily_coster(profile).materialize(int(rng.integers(5, 21)))
+        table = LazyDailyCost(profile).materialize(int(rng.integers(5, 21)))
         assert check_multimodular(table, tol=1e-9) == []
         poisson_checked += 1
     report(3, f"{finite_checked} finite and {poisson_checked} Poisson tables pass all inequalities at 1e-9")
@@ -139,7 +139,7 @@ def test_criterion_4_poisson_cost_matches_simulation():
         cap = int(rng.integers(0, 11))
         b = int(rng.integers(0, cap + 1))
         d = cap - b
-        analytic = daily_coster(profile).cost(d, b)
+        analytic = LazyDailyCost(profile).cost(d, b)
         mean, stderr = simulate_cost(profile, d, b, 100_000, seed=1000 + case)
         gap = abs(analytic - mean)
         assert gap <= 3 * stderr + 1e-9, (case, analytic, mean, stderr)
@@ -182,10 +182,10 @@ def test_criterion_6_longrun_structure():
         assert len(values) == 1  # capacity alone decides the cost
     assert check_multimodular(table, tol=1e-9) == []
 
-    rentals_only = FiniteProfile((((-1, -1, -1), 1.0),))
+    rentals_only = LongrunCost(FiniteProfile((((-1, -1, -1), 1.0),)))
     for cap in range(0, 11):
         for b in range(cap + 1):
-            assert longrun_cost(rentals_only, cap - b, b) == pytest.approx(3.0, abs=1e-9)
+            assert rentals_only.cost(cap - b, b) == pytest.approx(3.0, abs=1e-9)
     report(6, "long-run cost depends only on capacity, stays multimodular, and pins rentals-only demand at k")
 
 

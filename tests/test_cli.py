@@ -110,6 +110,27 @@ class TestOptimizeCommand:
         assert flag[0] in capsys.readouterr().err
         assert not (out / "allocation.json").exists()
 
+    def test_instance_with_nan_probability_rejected(self, tmp_path):
+        spec, _ = exchange_trap_instance()
+        doc = instance_to_json(spec)
+        doc["stations"][0]["profile"]["atoms"][0]["p"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "nan"
+        assert run("optimize", "--instance", path, "--out", out) == 1
+        assert not (out / "allocation.json").exists()
+
+    def test_instance_with_nan_interval_minutes_rejected(self, tmp_path):
+        doc = instance_to_json(synthetic_scenario(n_stations=2, seed=3, max_moves=None))
+        doc["stations"][0]["profile"].update(
+            rental_rates=[0.0] * 48, return_rates=[0.0] * 48, minutes_per_interval=float("nan")
+        )
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "nan"
+        assert run("optimize", "--instance", path, "--out", out) == 1
+        assert not (out / "allocation.json").exists()
+
     def test_duplicate_station_ids_rejected(self, tmp_path, capsys):
         stations = tmp_path / "stations.json"
         stations.write_text(
@@ -194,6 +215,18 @@ class TestWorkflow:
         assert geo["type"] == "FeatureCollection"
         assert {f["properties"]["id"] for f in geo["features"]} == {"a", "b"}
         assert all("dock_delta" in f["properties"] for f in geo["features"])
+
+    def test_estimate_rejects_infinite_interval_minutes(self, tmp_path):
+        trips = tmp_path / "trips.csv"
+        trips.write_text("station_id,timestamp,kind\na,600,rental\n")
+        status = tmp_path / "status.csv"
+        status.write_text("station_id,interval,minutes_nonempty,minutes_nonfull\na,0,30,30\n")
+        est = tmp_path / "est"
+        assert run(
+            "estimate", "--trips", trips, "--status", status, "--days", 1,
+            "--intervals", 2, "--interval-minutes", "inf", "--out", est,
+        ) == 1
+        assert not (est / "profiles.json").exists()
 
     def test_longrun_objective_flag(self, tmp_path, trap_instance):
         out_daily = tmp_path / "daily"

@@ -4,6 +4,7 @@ import pytest
 
 from dockalloc.demand import (
     Horizon,
+    PoissonProfile,
     StatusRecord,
     TripRecord,
     estimate_rates,
@@ -77,6 +78,17 @@ def test_negative_timestamp_names_the_record():
 def test_negative_minutes_rejected():
     with pytest.raises(ValidationError, match="minutes_nonempty"):
         estimate_rates([], [status("a", 0, -1.0)], days=1)
+
+
+def test_infinite_interval_length_rejected():
+    with pytest.raises(ValidationError, match="minutes_per_interval"):
+        Horizon(intervals=2, minutes_per_interval=float("inf")).validate()
+
+
+@pytest.mark.parametrize("minutes", [float("nan"), float("inf"), 0.0, -30.0])
+def test_profile_interval_length_must_be_finite_and_positive(minutes):
+    with pytest.raises(ValidationError, match="minutes_per_interval"):
+        PoissonProfile("a", (0.0,), (0.0,), minutes_per_interval=minutes).validate()
 
 
 def test_uncovered_trip_station_rejected():

@@ -3,8 +3,12 @@ import pytest
 
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
-from dockalloc.longrun import LongrunCost, day_chain, day_transition, longrun_cost, stationary
-from dockalloc.udf import FiniteProfile, check_multimodular, daily_coster
+from dockalloc.longrun import LongrunCost, day_chain, stationary
+from dockalloc.udf import FiniteProfile, LazyDailyCost, check_multimodular, interval_cost_poisson
+
+
+def day_transition(profile, capacity):
+    return LazyDailyCost(profile).day_transition(capacity)
 
 
 class TestDayTransition:
@@ -24,8 +28,11 @@ class TestDayTransition:
 
     def test_poisson_uses_cached_interval_chain(self):
         p = PoissonProfile("x", (0.1, 0.2), (0.2, 0.1))
-        rho = day_transition(p, 5)
-        assert np.allclose(rho, daily_coster(p).day_transition(5))
+        daily = LazyDailyCost(p)
+        rho = daily.day_transition(5)
+        chained = interval_cost_poisson(0.1, 0.2, 30.0, 5).transition @ interval_cost_poisson(0.2, 0.1, 30.0, 5).transition
+        assert np.allclose(rho, chained)
+        assert daily.day_transition(5) is rho
         assert np.allclose(rho.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -63,16 +70,17 @@ class TestStationary:
 class TestLongrunCost:
     def test_rentals_only_sticks_at_demand(self):
         p = FiniteProfile((((-1, -1, -1), 1.0),))
+        source = LongrunCost(p)
         for cap in range(0, 11):
-            assert longrun_cost(p, cap, 0) == pytest.approx(3.0, abs=1e-9)
+            assert source.cost(cap, 0) == pytest.approx(3.0, abs=1e-9)
 
     def test_rental_then_return_examples(self):
         p = FiniteProfile((((-1, 1), 1.0),))
-        assert longrun_cost(p, 0, 0) == pytest.approx(2.0, abs=1e-12)
-        assert longrun_cost(p, 1, 0) == pytest.approx(0.0, abs=1e-12)
+        assert LongrunCost(p).cost(0, 0) == pytest.approx(2.0, abs=1e-12)
+        assert LongrunCost(p).cost(1, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_demand_costs_nothing(self):
-        assert longrun_cost(FiniteProfile(()), 3, 2) == 0.0
+        assert LongrunCost(FiniteProfile(())).cost(3, 2) == 0.0
 
     def test_depends_only_on_capacity(self):
         p = PoissonProfile("x", (0.1, 0.05), (0.07, 0.12))
@@ -102,6 +110,42 @@ class TestLongrunCost:
         assert not chain.ergodic
 
     def test_chain_exposed_with_flags(self):
-        chain = day_chain(FiniteProfile(()), 3)
+        chain = day_chain(day_transition(FiniteProfile(()), 3))
         assert not chain.ergodic  # identity day chain has no unique fixed point
         assert np.allclose(chain.pi, 0.25)
+
+
+BOTH_KINDS = [PoissonProfile("x", (0.1, 0.05), (0.07, 0.12)), FiniteProfile((((-1, 1), 0.5), ((1,), 0.25)))]
+
+
+class TestBuilds:
+    """Which capacity builds each objective triggers."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = LazyDailyCost._build
+
+        def spy(self, capacity, transition):
+            calls.append((capacity, transition))
+            return original(self, capacity, transition)
+
+        monkeypatch.setattr(LazyDailyCost, "_build", spy)
+        return calls
+
+    @pytest.mark.parametrize("profile", BOTH_KINDS, ids=["poisson", "finite"])
+    def test_daily_pricing_builds_no_transition(self, builds, profile):
+        daily = LazyDailyCost(profile)
+        for s in range(7):
+            for b in range(s + 1):
+                daily.cost(s - b, b)
+        daily.materialize(6)
+        assert builds == [(s, False) for s in range(7)]
+
+    @pytest.mark.parametrize("profile", BOTH_KINDS, ids=["poisson", "finite"])
+    def test_longrun_capacity_builds_once(self, builds, profile):
+        source = LongrunCost(profile)
+        for b in range(6):
+            source.cost(5 - b, b)
+        source.chain(5)
+        assert builds == [(5, True)]

@@ -187,6 +187,42 @@ class TestReport:
                 "aggregate"
             ]["increase_where_capacity_taken"][key]
 
+    def test_crew_emptied_day_with_empty_period(self):
+        # cut from 10 to 5 docks with 2 bikes at open; the crew's removal of
+        # both bikes at 600 s is the only way the station gets empty
+        profile = PoissonProfile("s", (3.0,), (0.0,), minutes_per_interval=60.0)
+        day = ObservedDay(
+            "s", 10, 5, 2, event_timestamps=(), empty_periods=((0, 10.0),), rebalancing_events=((600.0, -2),)
+        )
+        report = posterior_report([day], {"s": profile}, resamples=20, seed=5)
+        # same_bikes keeps 2 bikes before the cut, so no extra failures;
+        # proportional starts the old layout with 4, two more to rent
+        assert report["stations"][0]["removed"] == {
+            "same_bikes/none": 0.0,
+            "same_bikes/strict": 0.0,
+            "proportional/none": 2.0,
+            "proportional/strict": 2.0,
+        }
+
+    def test_none_column_places_period_among_observed_events(self):
+        # rental at 100 s, crew removal at 600 s empties the station, six
+        # returns afterwards: the empty period sits after one observed event
+        profile = PoissonProfile("s", (3.0,), (0.0,), minutes_per_interval=60.0)
+        day = ObservedDay(
+            "s",
+            10,
+            5,
+            2,
+            observed_events=(-1, 1, 1, 1, 1, 1, 1),
+            event_timestamps=(100.0, 700.0, 800.0, 900.0, 1000.0, 1100.0, 1200.0),
+            empty_periods=((0, 10.0),),
+            rebalancing_events=((600.0, -1),),
+        )
+        for rule, expect in (("same_bikes", 1.0), ("proportional", 3.0)):
+            for mode in ("none", "strict", "optimistic"):
+                est = decreased_capacity_impact(day, profile, rule, seed=2, resamples=20, rebalancing=mode)
+                assert (est.mean, est.stderr) == (expect, 0.0), (rule, mode)
+
     def test_report_is_deterministic(self):
         profile = PoissonProfile("shrunk", (0.05,), (0.05,), minutes_per_interval=60.0)
         days = [ObservedDay("shrunk", 3, 2, 2, full_periods=((0, 45.0),))]

@@ -14,8 +14,6 @@ from dockalloc.udf import (
     check_multimodular,
     cost_table_from_finite,
     count_stockouts,
-    daily_cost_poisson,
-    daily_coster,
     expected_cost_finite,
     interval_cost_poisson,
     load_cost_table,
@@ -71,6 +69,11 @@ class TestFiniteProfiles:
         with pytest.raises(ValidationError, match="exceeding 1"):
             expected_cost_finite(p, 1, 1)
 
+    def test_nan_probability_rejected(self):
+        p = FiniteProfile((((1,), float("nan")),))
+        with pytest.raises(ValidationError, match="nan"):
+            p.validate()
+
     @given(st.integers(0, 4), st.integers(0, 4))
     def test_bike_sweep_at_fixed_capacity_is_convex(self, d, b):
         p = FiniteProfile((((1, -1, -1, 1), 0.5), ((-1, -1), 0.25)))
@@ -114,17 +117,17 @@ class TestIntervalAnalysis:
 class TestDailyCost:
     def test_zero_rates_zero_table(self):
         p = PoissonProfile("z", (0.0, 0.0), (0.0, 0.0))
-        table = daily_cost_poisson(p, 5)
+        table = LazyDailyCost(p).materialize(5)
         assert all(v == 0 for row in table.values for v in row)
 
     def test_single_interval_zero_capacity(self):
         p = PoissonProfile("z", (0.2,), (0.1,), minutes_per_interval=30.0)
-        table = daily_cost_poisson(p, 0)
+        table = LazyDailyCost(p).materialize(0)
         assert table.cost(0, 0) == pytest.approx(0.3 * 30.0, abs=1e-8)
 
     def test_split_interval_matches_merged(self):
-        merged = daily_cost_poisson(PoissonProfile("m", (0.15,), (0.1,), minutes_per_interval=60.0), 8)
-        split = daily_cost_poisson(PoissonProfile("s", (0.15, 0.15), (0.1, 0.1), minutes_per_interval=30.0), 8)
+        merged = LazyDailyCost(PoissonProfile("m", (0.15,), (0.1,), minutes_per_interval=60.0)).materialize(8)
+        split = LazyDailyCost(PoissonProfile("s", (0.15, 0.15), (0.1, 0.1), minutes_per_interval=30.0)).materialize(8)
         for row_m, row_s in zip(merged.values, split.values):
             for a, b in zip(row_m, row_s):
                 assert a == pytest.approx(b, abs=1e-8)
@@ -136,6 +139,16 @@ class TestDailyCost:
         for s in range(7):
             for b in range(s + 1):
                 assert lazy.cost(s - b, b) == eager.cost(s - b, b)
+
+    def test_finite_profile_matches_exact_table(self):
+        p = FiniteProfile((((1, -1, -1, 1), Fraction(1, 2)), ((-1, -1), Fraction(1, 4))))
+        lazy = LazyDailyCost(p)
+        exact = cost_table_from_finite(p, 6)
+        table = lazy.materialize(6)
+        assert (table.station_id, table.provenance) == ("", "finite")
+        for s in range(7):
+            for b in range(s + 1):
+                assert lazy.cost(s - b, b) == table.cost(s - b, b) == float(exact.cost(s - b, b))
 
     def test_capacity_limit_enforced(self):
         p = PoissonProfile("c", (0.1,), (0.1,))
@@ -152,7 +165,7 @@ class TestDailyCost:
             )
             cap = int(rng.integers(0, 11))
             b = int(rng.integers(0, cap + 1))
-            analytic = daily_coster(p).cost(cap - b, b)
+            analytic = LazyDailyCost(p).cost(cap - b, b)
             mean, stderr = simulate_cost(p, cap - b, b, 30_000, seed=100 + case)
             assert abs(analytic - mean) <= 3 * stderr + 1e-9
 
@@ -203,7 +216,7 @@ class TestMultimodularity:
                 tuple(float(x) for x in rng.uniform(0, 0.3, 4)),
                 tuple(float(x) for x in rng.uniform(0, 0.3, 4)),
             )
-            table = daily_cost_poisson(p, int(rng.integers(3, 10)))
+            table = LazyDailyCost(p).materialize(int(rng.integers(3, 10)))
             assert check_multimodular(table) == []
 
     def test_crafted_violation_is_reported_exactly(self):
