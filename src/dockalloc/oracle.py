@@ -26,6 +26,7 @@ from .udf import (
     FiniteProfile,
     Number,
     cost_table_from_finite,
+    interval_cost_poisson,
     LazyDailyCost,
 )
 
@@ -344,6 +345,17 @@ def simulate_cost(
         return mean, 0.0
     stderr = float(misses.std(ddof=1) / math.sqrt(trials))
     return mean, stderr
+
+
+def daily_cost_matrix_path(profile: PoissonProfile, capacity: int) -> np.ndarray:
+    """Expected daily events per start count by the dense matrix chain: each
+    interval's ``interval_cost_poisson`` result, accumulated backward.  The
+    reference for ``LazyDailyCost``'s vector kernel."""
+    v = np.zeros(capacity + 1)
+    for mu, lam in reversed(list(zip(profile.rental_rates, profile.return_rates))):
+        r = interval_cost_poisson(mu, lam, profile.minutes_per_interval, capacity)
+        v = r.expected_events + r.transition @ v
+    return v
 
 
 def exchange_trap_instance() -> tuple[InstanceSpec, dict]:

@@ -33,6 +33,7 @@ from .errors import CapacityLimitError, ValidationError
 
 Number = int | float | Fraction
 
+COST_BLOCK = 8
 DEFAULT_CAPACITY_LIMIT = 512
 JUMP_TAIL_TOL = 1e-10
 MULTIMODULAR_TOL = 1e-9
@@ -146,6 +147,25 @@ class IntervalResult:
     expected_events: np.ndarray
 
 
+def _poisson_jumps(jump_mean: float) -> tuple[list[float], list[float]]:
+    """Poisson pmf and cdf at 0, 1, ... jumps, up to the first count whose
+    tail mass is at most ``JUMP_TAIL_TOL``."""
+    if jump_mean > 1e5:
+        raise ValidationError(f"interval has {jump_mean:.3g} expected arrivals; rates are implausibly large")
+    log_pmf = -jump_mean  # log Poisson pmf at k jumps
+    cdf = math.exp(log_pmf)
+    pmfs, cdfs = [math.exp(log_pmf)], [cdf]
+    k = 0
+    while 1.0 - cdf > JUMP_TAIL_TOL:
+        k += 1
+        log_pmf += math.log(jump_mean) - math.log(k)
+        pmf = math.exp(log_pmf)
+        cdf += pmf
+        pmfs.append(pmf)
+        cdfs.append(cdf)
+    return pmfs, cdfs
+
+
 def interval_cost_poisson(rental_rate: float, return_rate: float, minutes: float, capacity: int) -> IntervalResult:
     """Analyze the bike count as a birth-death process on {0..capacity}
     (births = returns at rate ``return_rate``, deaths = rentals at
@@ -169,9 +189,7 @@ def interval_cost_poisson(rental_rate: float, return_rate: float, minutes: float
     if rate == 0:
         return IntervalResult(np.eye(m), np.zeros(m))
 
-    jump_mean = rate * minutes
-    if jump_mean > 1e5:
-        raise ValidationError(f"interval has {jump_mean:.3g} expected arrivals; rates are implausibly large")
+    pmfs, cdfs = _poisson_jumps(rate * minutes)
 
     # Uniformized jump chain: attempts that cannot be served self-loop.
     step = np.zeros((m, m))
@@ -189,17 +207,9 @@ def interval_cost_poisson(rental_rate: float, return_rate: float, minutes: float
     transition = np.zeros((m, m))
     occupancy = np.zeros((m, m))  # integral over the interval of the state distribution
     power = np.eye(m)
-    log_pmf = -jump_mean  # log Poisson pmf at k jumps
-    cdf = math.exp(log_pmf)
-    transition += math.exp(log_pmf) * power
-    occupancy += ((1.0 - cdf) / rate) * power
-    k = 0
-    while 1.0 - cdf > JUMP_TAIL_TOL:
-        k += 1
-        power = power @ step
-        log_pmf += math.log(jump_mean) - math.log(k)
-        pmf = math.exp(log_pmf)
-        cdf += pmf
+    for k, (pmf, cdf) in enumerate(zip(pmfs, cdfs)):
+        if k:
+            power = power @ step
         transition += pmf * power
         occupancy += ((1.0 - cdf) / rate) * power
 
@@ -212,12 +222,14 @@ class LazyDailyCost:
     events per start count and the end-of-day bike-count distribution, both
     computed on demand and kept for the life of this object.
 
-    Poisson profiles chain interval results across the day: the expected
-    events from a start state accumulate backward through each interval's
-    transition matrix.  Finite profiles replay every atom (residual mass
+    Poisson daily costs come from a backward recursion on vectors, run for
+    a block of ``COST_BLOCK`` neighbouring capacities at once (see
+    ``_price_block``).  Finite profiles replay every atom (residual mass
     leaves the state unchanged).  The day transition is built only when
-    ``day_transition`` asks for it; a capacity asked for there first is
-    built once, cost and transition together.
+    ``day_transition`` asks for it; for Poisson profiles it chains the
+    interval matrices of ``interval_cost_poisson``, and a capacity asked
+    for there first takes its cost from the same chain.  A stored cost
+    vector is never replaced.
     """
 
     def __init__(self, profile: PoissonProfile | FiniteProfile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
@@ -228,6 +240,7 @@ class LazyDailyCost:
         self.capacity_limit = capacity_limit
         self._day_cost: dict[int, np.ndarray] = {}
         self._day_transition: dict[int, np.ndarray] = {}
+        self._jumps: list[tuple[float, float, np.ndarray]] | None = None
 
     def _intervals(self, capacity: int) -> list[IntervalResult]:
         p = self.profile
@@ -239,6 +252,67 @@ class LazyDailyCost:
                 out.append(interval_cost_poisson(mu, lam, p.minutes_per_interval, capacity))
         return out
 
+    def _jump_weights(self) -> list[tuple[float, float, np.ndarray]]:
+        """Per interval with demand, its rental and return rates and one row
+        ``[p_up, p_down, w_k, o_k]`` per jump count k, last jump first:
+        ``w_k = pmf_k / cdf_K`` and ``o_k = (1 - cdf_k) / rate``.  Zero-rate
+        intervals leave the day's costs unchanged and are left out."""
+        if self._jumps is None:
+            p = self.profile
+            jumps = []
+            for mu, lam in zip(p.rental_rates, p.return_rates):
+                rate = mu + lam
+                if rate == 0:
+                    continue
+                pmfs, cdfs = _poisson_jumps(rate * p.minutes_per_interval)
+                cdf = np.array(cdfs)
+                rows = np.empty((len(cdfs), 4, 1))
+                rows[:, 0, 0] = lam / rate
+                rows[:, 1, 0] = mu / rate
+                rows[:, 2, 0] = np.array(pmfs) / cdf[-1]
+                rows[:, 3, 0] = (1.0 - cdf) / rate
+                jumps.append((mu, lam, rows[::-1]))
+            self._jumps = jumps
+        return self._jumps
+
+    def _price_block(self, capacities: list[int]) -> list[np.ndarray]:
+        """Daily cost vectors of several capacities in one backward pass.
+
+        The capacities' bike counts sit side by side in one vector; ``up``
+        and ``dn`` index each state's neighbours, a capacity's own end
+        standing in for the neighbour it does not have (the self-loops of
+        the uniformized chain).  Per interval, ``v <- e + T v`` is one
+        Horner pass over the jump counts, last jump first:
+        ``r <- p_up r[up] + p_down r[dn] + w_k v + o_k bnd``, where ``bnd``
+        holds the failure rates at each capacity's empty and full ends.
+        Every entry sees the same operations whatever else is in the block.
+        """
+        sizes = np.array(capacities) + 1
+        lows = np.cumsum(sizes) - sizes
+        highs = lows + sizes - 1
+        n = int(sizes.sum())
+        up = np.arange(1, n + 1)
+        up[highs] = highs
+        dn = np.arange(-1, n - 1)
+        dn[lows] = lows
+        neighbours = np.concatenate([up, dn])
+        terms = np.empty((4, n))  # rows r[up], r[dn], v, bnd
+        shifted = terms[:2].reshape(-1)
+        scaled = np.empty((4, n))
+        r = np.zeros(n)
+        take, multiply, add = r.take, np.multiply, np.add.reduce
+        for mu, lam, rows in reversed(self._jump_weights()):
+            terms[2] = r
+            terms[3] = 0.0
+            terms[3, lows] += mu
+            terms[3, highs] += lam
+            r.fill(0.0)
+            for row in rows:
+                take(neighbours, None, shifted, "wrap")  # in range: wrap only skips the bounds check
+                multiply(terms, row, scaled)
+                add(scaled, 0, None, r)
+        return np.split(r, lows[1:])
+
     def _build(self, capacity: int, transition: bool) -> None:
         if capacity < 0:
             raise ValidationError(f"capacity must be non-negative, got {capacity}")
@@ -249,7 +323,8 @@ class LazyDailyCost:
         m = capacity + 1
         if self._finite:
             p = self.profile
-            self._day_cost[capacity] = np.array([float(expected_cost_finite(p, capacity - x, x)) for x in range(m)])
+            if capacity not in self._day_cost:
+                self._day_cost[capacity] = np.array([float(expected_cost_finite(p, capacity - x, x)) for x in range(m)])
             if transition:
                 rho = np.zeros((m, m))
                 residual = float(p.residual)
@@ -260,13 +335,19 @@ class LazyDailyCost:
                     rho[x, x] += residual
                 self._day_transition[capacity] = rho
             return
+        if not transition:
+            first = capacity - capacity % COST_BLOCK
+            last = min(first + COST_BLOCK - 1, self.capacity_limit)
+            block = [c for c in range(first, last + 1) if c not in self._day_cost]
+            self._day_cost.update(zip(block, self._price_block(block)))
+            return
         results = self._intervals(capacity)
-        v = np.zeros(m)
-        for r in reversed(results):
-            v = r.expected_events + r.transition @ v
-        self._day_cost[capacity] = v
-        if transition:
-            self._day_transition[capacity] = reduce(lambda a, r: a @ r.transition, results, np.eye(m))
+        if capacity not in self._day_cost:
+            v = np.zeros(m)
+            for r in reversed(results):
+                v = r.expected_events + r.transition @ v
+            self._day_cost[capacity] = v
+        self._day_transition[capacity] = reduce(lambda a, r: a @ r.transition, results, np.eye(m))
 
     def cost_vector(self, capacity: int) -> np.ndarray:
         """Expected daily events indexed by the number of bikes at open."""

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from dockalloc.udf import LazyDailyCost
+
 settings.register_profile(
     "ci",
     max_examples=60,
@@ -19,3 +21,17 @@ def rng():
 
 def philox(*key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
+
+
+@pytest.fixture
+def price_blocks(monkeypatch):
+    """Record the capacities of every batched daily-cost computation."""
+    calls = []
+    original = LazyDailyCost._price_block
+
+    def spy(self, capacities):
+        calls.append(list(capacities))
+        return original(self, capacities)
+
+    monkeypatch.setattr(LazyDailyCost, "_price_block", spy)
+    return calls

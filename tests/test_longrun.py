@@ -134,13 +134,24 @@ class TestBuilds:
         return calls
 
     @pytest.mark.parametrize("profile", BOTH_KINDS, ids=["poisson", "finite"])
-    def test_daily_pricing_builds_no_transition(self, builds, profile):
+    def test_daily_pricing_builds_no_transition(self, builds, price_blocks, profile):
         daily = LazyDailyCost(profile)
         for s in range(7):
             for b in range(s + 1):
                 daily.cost(s - b, b)
         daily.materialize(6)
-        assert builds == [(s, False) for s in range(7)]
+        if isinstance(profile, PoissonProfile):
+            # one batched build prices the whole aligned block 0..7
+            assert builds == [(0, False)]
+            assert price_blocks == [list(range(8))]
+        else:
+            assert builds == [(s, False) for s in range(7)]
+            assert price_blocks == []
+        assert not daily._day_transition
+        for s in (20, 9, 7, 15, 16, 3):
+            daily.cost_vector(s)
+        priced = [c for block in price_blocks for c in block]
+        assert len(priced) == len(set(priced))  # every capacity computed exactly once
 
     @pytest.mark.parametrize("profile", BOTH_KINDS, ids=["poisson", "finite"])
     def test_longrun_capacity_builds_once(self, builds, profile):

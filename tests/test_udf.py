@@ -19,7 +19,7 @@ from dockalloc.udf import (
     load_cost_table,
     save_cost_table,
 )
-from dockalloc.oracle import simulate_cost
+from dockalloc.oracle import daily_cost_matrix_path, simulate_cost, synthetic_scenario
 
 events_strategy = st.lists(st.sampled_from([-1, 1]), max_size=14).map(tuple)
 
@@ -168,6 +168,80 @@ class TestDailyCost:
             analytic = LazyDailyCost(p).cost(cap - b, b)
             mean, stderr = simulate_cost(p, cap - b, b, 30_000, seed=100 + case)
             assert abs(analytic - mean) <= 3 * stderr + 1e-9
+
+
+def matrix_path_gap(daily, capacity):
+    """Largest kernel/matrix-path difference: relative where the cost
+    exceeds 1, absolute below."""
+    reference = daily_cost_matrix_path(daily.profile, capacity)
+    return np.max(np.abs(daily.cost_vector(capacity) - reference) / np.maximum(1.0, np.abs(reference)))
+
+
+class TestVectorKernel:
+    """The batched daily-cost kernel against the dense matrix chain."""
+
+    def test_synthetic_city_matches_matrix_path(self):
+        for station in synthetic_scenario(6).stations:
+            daily = LazyDailyCost(station.profile)
+            for capacity in range(46):
+                assert matrix_path_gap(daily, capacity) <= 1e-12, (station.id, capacity)
+
+    @pytest.mark.parametrize("capacity", [0, 1, 5, 12])
+    def test_idle_rental_only_and_return_only_intervals(self, capacity):
+        p = PoissonProfile("e", (0.0, 0.3, 0.0, 0.1), (0.0, 0.0, 0.25, 0.2))
+        assert matrix_path_gap(LazyDailyCost(p), capacity) <= 1e-12
+
+    @pytest.mark.parametrize("capacity", [0, 3, 10])
+    def test_jump_mean_near_five_thousand(self, capacity):
+        p = PoissonProfile("h", (90.0,), (76.7,), minutes_per_interval=30.0)  # 5,001 expected arrivals
+        assert matrix_path_gap(LazyDailyCost(p), capacity) <= 1e-12
+
+    def test_cost_vector_independent_of_order(self):
+        p = synthetic_scenario(6).stations[1].profile
+        alone = {c: LazyDailyCost(p).cost_vector(c) for c in range(46)}
+        ascending, descending, materialized = LazyDailyCost(p), LazyDailyCost(p), LazyDailyCost(p)
+        for c in range(46):
+            ascending.cost_vector(c)
+        for c in reversed(range(46)):
+            descending.cost_vector(c)
+        table = materialized.materialize(45)
+        for c in range(46):
+            for source in (ascending, descending, materialized, LazyDailyCost(p)):
+                assert np.array_equal(source.cost_vector(c), alone[c])
+            assert table.values[c] == tuple(float(x) for x in alone[c])
+
+    def test_day_transition_keeps_the_stored_cost(self):
+        daily = LazyDailyCost(synthetic_scenario(6).stations[0].profile)
+        before = [daily.cost(9 - b, b) for b in range(10)]
+        daily.day_transition(9)
+        assert [daily.cost(9 - b, b) for b in range(10)] == before
+
+    def test_block_skips_capacities_already_built(self, price_blocks):
+        daily = LazyDailyCost(synthetic_scenario(6).stations[0].profile)
+        daily.day_transition(12)
+        from_chain = daily.cost_vector(12)
+        daily.cost_vector(9)
+        assert price_blocks == [[8, 9, 10, 11, 13, 14, 15]]
+        assert daily.cost_vector(12) is from_chain
+
+    def test_implausible_rates_rejected_at_pricing(self):
+        daily = LazyDailyCost(PoissonProfile("big", (0.1, 4000.0), (0.1, 0.0), minutes_per_interval=30.0))
+        with pytest.raises(ValidationError):
+            daily.cost(2, 1)
+
+    def test_blocks_stop_at_the_capacity_limit(self, price_blocks):
+        daily = LazyDailyCost(PoissonProfile("c", (0.1, 0.2), (0.15, 0.05)), capacity_limit=10)
+        assert daily.cost(4, 6) >= 0
+        with pytest.raises(CapacityLimitError):
+            daily.cost(5, 6)
+        assert price_blocks == [[8, 9, 10]]
+
+    def test_negative_capacity_rejected(self):
+        daily = LazyDailyCost(PoissonProfile("n", (0.1,), (0.1,)))
+        with pytest.raises(ValidationError):
+            daily.cost_vector(-1)
+        with pytest.raises(ValidationError):
+            daily.cost(-1, 0)
 
 
 class TestCostTable:
