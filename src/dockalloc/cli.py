@@ -27,7 +27,7 @@ from . import demand as demand_mod
 from . import oracle as oracle_mod
 from . import posterior as posterior_mod
 from .allocator import Constraints, LogEntry, optimize, optimize_tradeoff
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, whole_number
 from .longrun import LongrunCost
 from .scaling import PhasePlan, optimize_scaled
 from .udf import LazyDailyCost, load_cost_table, save_cost_table
@@ -125,10 +125,10 @@ def _load_stations(path) -> list[dict]:
             stations.append(
                 {
                     "id": str(row["id"]),
-                    "current_docks": int(row["current_docks"]),
-                    "current_bikes": int(row["current_bikes"]),
-                    "l": int(row["l"]),
-                    "u": int(row["u"]),
+                    "current_docks": whole_number(row["current_docks"], "current_docks"),
+                    "current_bikes": whole_number(row["current_bikes"], "current_bikes"),
+                    "l": whole_number(row["l"], "l"),
+                    "u": whole_number(row["u"], "u"),
                     "lat": row.get("lat"),
                     "lon": row.get("lon"),
                 }

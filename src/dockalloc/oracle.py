@@ -20,7 +20,7 @@ import numpy as np
 
 from .allocator import Allocation, Constraints, dock_move_distance
 from .demand import PoissonProfile
-from .errors import ValidationError
+from .errors import ValidationError, whole_number
 from .udf import (
     CostSource,
     FiniteProfile,
@@ -28,6 +28,7 @@ from .udf import (
     cost_table_from_finite,
     interval_cost_poisson,
     LazyDailyCost,
+    _num_from_json,
 )
 
 SEARCH_SPACE_GUARD = 10_000_000
@@ -95,8 +96,7 @@ def _profile_from_json(doc: dict, station_id: str):
     if kind == "finite":
         atoms = []
         for atom in doc["atoms"]:
-            p = atom["p"]
-            atoms.append((tuple(int(x) for x in atom["events"]), Fraction(p) if isinstance(p, str) else float(p)))
+            atoms.append((tuple(whole_number(x, "event") for x in atom["events"]), _num_from_json(atom["p"])))
         profile = FiniteProfile(tuple(atoms))
         profile.validate()
         return profile
@@ -139,22 +139,22 @@ def instance_from_json(doc: dict) -> InstanceSpec:
             StationSpec(
                 id=str(s["id"]),
                 profile=_profile_from_json(s["profile"], str(s["id"])),
-                lower=int(s["lower"]),
-                upper=int(s["upper"]),
-                baseline_docks=int(s["baseline_docks"]),
-                baseline_bikes=int(s["baseline_bikes"]),
+                lower=whole_number(s["lower"], "lower"),
+                upper=whole_number(s["upper"], "upper"),
+                baseline_docks=whole_number(s["baseline_docks"], "baseline_docks"),
+                baseline_bikes=whole_number(s["baseline_bikes"], "baseline_bikes"),
             )
             for s in doc["stations"]
         )
         tradeoff = doc.get("tradeoff")
         return InstanceSpec(
             stations=stations,
-            bike_budget=int(doc["bike_budget"]),
-            dock_budget=int(doc["dock_budget"]),
-            max_moves=None if doc.get("max_moves") is None else int(doc["max_moves"]),
-            tradeoff=None if tradeoff is None else (int(tradeoff[0]), int(tradeoff[1])),
+            bike_budget=whole_number(doc["bike_budget"], "bike_budget"),
+            dock_budget=whole_number(doc["dock_budget"], "dock_budget"),
+            max_moves=None if doc.get("max_moves") is None else whole_number(doc["max_moves"], "max_moves"),
+            tradeoff=None if tradeoff is None else (whole_number(tradeoff[0], "k"), whole_number(tradeoff[1], "M")),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed instance document: {exc}") from exc
 
 
@@ -347,15 +347,16 @@ def simulate_cost(
     return mean, stderr
 
 
-def daily_cost_matrix_path(profile: PoissonProfile, capacity: int) -> np.ndarray:
-    """Expected daily events per start count by the dense matrix chain: each
-    interval's ``interval_cost_poisson`` result, accumulated backward.  The
-    reference for ``LazyDailyCost``'s vector kernel."""
-    v = np.zeros(capacity + 1)
+def day_matrix_path(profile: PoissonProfile, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expected daily events per start count and the end-of-day transition
+    by the dense matrix chain: each interval's ``interval_cost_poisson``
+    result, accumulated backward.  The reference for both outputs of
+    ``LazyDailyCost``'s vector kernel."""
+    v, rho = np.zeros(capacity + 1), np.eye(capacity + 1)
     for mu, lam in reversed(list(zip(profile.rental_rates, profile.return_rates))):
         r = interval_cost_poisson(mu, lam, profile.minutes_per_interval, capacity)
-        v = r.expected_events + r.transition @ v
-    return v
+        v, rho = r.expected_events + r.transition @ v, r.transition @ rho
+    return v, rho
 
 
 def exchange_trap_instance() -> tuple[InstanceSpec, dict]:

@@ -25,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .demand import PoissonProfile
-from .errors import ValidationError
+from .errors import ValidationError, whole_number
+
 RULES = ("same_bikes", "proportional")
 REBALANCING_MODES = ("none", "strict", "optimistic")
 
@@ -65,7 +66,7 @@ class ObservedDay:
             raise ValidationError(f"day at {self.station_id!r}: event_timestamps length mismatch")
         for periods in (self.full_periods, self.empty_periods):
             for interval, minutes in periods:
-                if interval < 0 or minutes < 0:
+                if interval < 0 or not 0 <= minutes < math.inf:
                     raise ValidationError(f"day at {self.station_id!r}: bad period ({interval}, {minutes})")
         times = [t for t, _ in self.rebalancing_events]
         if times != sorted(times):
@@ -267,9 +268,14 @@ def decreased_capacity_impact(
             f"day at {day.station_id!r} has censored periods; demand rates are required to fill them in"
         )
     profile.validate()
-    for interval, _, _ in periods:
+    for interval, minutes, _ in periods:
         if interval >= profile.intervals:
             raise ValidationError(f"period interval {interval} outside the profile horizon")
+        if minutes > profile.minutes_per_interval:
+            raise ValidationError(
+                f"day at {day.station_id!r}: a {minutes}-minute period does not fit its"
+                f" {profile.minutes_per_interval}-minute interval {interval}"
+            )
 
     spots = _insertion_points(day, periods, rebalancing)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -364,20 +370,26 @@ def posterior_report(
     }
 
 
+def _periods(pairs) -> tuple[tuple[int, float], ...]:
+    return tuple((whole_number(i, "interval"), float(m)) for i, m in pairs)
+
+
 def _day_from_json(doc: dict) -> ObservedDay:
     try:
         day = ObservedDay(
             station_id=str(doc["station_id"]),
-            capacity_before=int(doc["capacity_before"]),
-            capacity_after=int(doc["capacity_after"]),
-            bikes_at_open=int(doc["bikes_at_open"]),
-            observed_events=tuple(int(x) for x in doc.get("observed_events", [])),
+            capacity_before=whole_number(doc["capacity_before"], "capacity_before"),
+            capacity_after=whole_number(doc["capacity_after"], "capacity_after"),
+            bikes_at_open=whole_number(doc["bikes_at_open"], "bikes_at_open"),
+            observed_events=tuple(whole_number(x, "event") for x in doc.get("observed_events", [])),
             event_timestamps=(
                 tuple(float(t) for t in doc["event_timestamps"]) if doc.get("event_timestamps") is not None else None
             ),
-            full_periods=tuple((int(i), float(m)) for i, m in doc.get("full_periods", [])),
-            empty_periods=tuple((int(i), float(m)) for i, m in doc.get("empty_periods", [])),
-            rebalancing_events=tuple((float(t), int(c)) for t, c in doc.get("rebalancing_events", [])),
+            full_periods=_periods(doc.get("full_periods", [])),
+            empty_periods=_periods(doc.get("empty_periods", [])),
+            rebalancing_events=tuple(
+                (float(t), whole_number(c, "count")) for t, c in doc.get("rebalancing_events", [])
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed observed-day document: {exc}") from exc
@@ -417,19 +429,24 @@ def days_from_csv(path: str | Path) -> list[ObservedDay]:
             raise ValidationError(f"{path}: days CSV must include {sorted(required)}")
         for row in reader:
             timestamps = None
-            if row.get("event_timestamps"):
-                timestamps = tuple(float(t) for t in row["event_timestamps"].split("|") if t.strip())
-            day = ObservedDay(
-                station_id=row["station_id"].strip(),
-                capacity_before=int(row["capacity_before"]),
-                capacity_after=int(row["capacity_after"]),
-                bikes_at_open=int(row["bikes_at_open"]),
-                observed_events=_parse_events(row.get("observed_events", "")),
-                event_timestamps=timestamps,
-                full_periods=tuple((int(i), m) for i, m in _parse_pairs(row.get("full_periods", ""))),
-                empty_periods=tuple((int(i), m) for i, m in _parse_pairs(row.get("empty_periods", ""))),
-                rebalancing_events=tuple((t, int(c)) for t, c in _parse_pairs(row.get("rebalancing_events", ""))),
-            )
+            try:
+                if row.get("event_timestamps"):
+                    timestamps = tuple(float(t) for t in row["event_timestamps"].split("|") if t.strip())
+                day = ObservedDay(
+                    station_id=row["station_id"].strip(),
+                    capacity_before=whole_number(row["capacity_before"], "capacity_before"),
+                    capacity_after=whole_number(row["capacity_after"], "capacity_after"),
+                    bikes_at_open=whole_number(row["bikes_at_open"], "bikes_at_open"),
+                    observed_events=_parse_events(row.get("observed_events", "")),
+                    event_timestamps=timestamps,
+                    full_periods=_periods(_parse_pairs(row.get("full_periods", ""))),
+                    empty_periods=_periods(_parse_pairs(row.get("empty_periods", ""))),
+                    rebalancing_events=tuple(
+                        (t, whole_number(c, "count")) for t, c in _parse_pairs(row.get("rebalancing_events", ""))
+                    ),
+                )
+            except (AttributeError, ValueError) as exc:
+                raise ValidationError(f"{path}, line {reader.line_num}: malformed day row: {exc}") from exc
             day.validate()
             days.append(day)
     return days

@@ -22,14 +22,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .demand import PoissonProfile
-from .errors import CapacityLimitError, ValidationError
+from .errors import CapacityLimitError, ValidationError, whole_number
 
 Number = int | float | Fraction
 
@@ -222,14 +221,11 @@ class LazyDailyCost:
     events per start count and the end-of-day bike-count distribution, both
     computed on demand and kept for the life of this object.
 
-    Poisson daily costs come from a backward recursion on vectors, run for
-    a block of ``COST_BLOCK`` neighbouring capacities at once (see
-    ``_price_block``).  Finite profiles replay every atom (residual mass
-    leaves the state unchanged).  The day transition is built only when
-    ``day_transition`` asks for it; for Poisson profiles it chains the
-    interval matrices of ``interval_cost_poisson``, and a capacity asked
-    for there first takes its cost from the same chain.  A stored cost
-    vector is never replaced.
+    Poisson profiles price a block of ``COST_BLOCK`` neighbouring capacities
+    at once in one backward recursion on vectors (see ``_price_block``);
+    the day transitions ride along in the same pass when ``day_transition``
+    asks for them.  Finite profiles replay every atom (residual mass leaves
+    the state unchanged).
     """
 
     def __init__(self, profile: PoissonProfile | FiniteProfile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
@@ -241,16 +237,6 @@ class LazyDailyCost:
         self._day_cost: dict[int, np.ndarray] = {}
         self._day_transition: dict[int, np.ndarray] = {}
         self._jumps: list[tuple[float, float, np.ndarray]] | None = None
-
-    def _intervals(self, capacity: int) -> list[IntervalResult]:
-        p = self.profile
-        out = []
-        for mu, lam in zip(p.rental_rates, p.return_rates):
-            if mu == 0 and lam == 0:
-                out.append(IntervalResult(np.eye(capacity + 1), np.zeros(capacity + 1)))
-            else:
-                out.append(interval_cost_poisson(mu, lam, p.minutes_per_interval, capacity))
-        return out
 
     def _jump_weights(self) -> list[tuple[float, float, np.ndarray]]:
         """Per interval with demand, its rental and return rates and one row
@@ -275,8 +261,9 @@ class LazyDailyCost:
             self._jumps = jumps
         return self._jumps
 
-    def _price_block(self, capacities: list[int]) -> list[np.ndarray]:
-        """Daily cost vectors of several capacities in one backward pass.
+    def _price_block(self, capacities: list[int], transition: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Daily cost vectors of several capacities in one backward pass,
+        and their day transitions when ``transition`` is set (else none).
 
         The capacities' bike counts sit side by side in one vector; ``up``
         and ``dn`` index each state's neighbours, a capacity's own end
@@ -285,7 +272,10 @@ class LazyDailyCost:
         Horner pass over the jump counts, last jump first:
         ``r <- p_up r[up] + p_down r[dn] + w_k v + o_k bnd``, where ``bnd``
         holds the failure rates at each capacity's empty and full ends.
-        Every entry sees the same operations whatever else is in the block.
+        The transition columns start as each capacity's identity and take
+        the same update without the ``o_k bnd`` term, ending as
+        ``T_1 ... T_K``.  Every entry sees the same operations whatever
+        else is in the block.
         """
         sizes = np.array(capacities) + 1
         lows = np.cumsum(sizes) - sizes
@@ -301,17 +291,32 @@ class LazyDailyCost:
         scaled = np.empty((4, n))
         r = np.zeros(n)
         take, multiply, add = r.take, np.multiply, np.add.reduce
+        if transition:
+            rho = np.zeros((n, int(sizes.max())))  # column y: chance of ending with y bikes
+            rho[np.arange(n), np.arange(n) - np.repeat(lows, sizes)] = 1.0
+            rho_flat = rho.reshape(-1)
+            rho_terms = np.empty((3, rho.size))  # rows rho[up], rho[dn], previous rho
+            rho_shifted = rho_terms[:2].reshape(2 * n, -1)
+            rho_scaled = np.empty_like(rho_terms)
         for mu, lam, rows in reversed(self._jump_weights()):
             terms[2] = r
             terms[3] = 0.0
             terms[3, lows] += mu
             terms[3, highs] += lam
             r.fill(0.0)
+            if transition:
+                rho_terms[2] = rho_flat
+                rho.fill(0.0)
             for row in rows:
                 take(neighbours, None, shifted, "wrap")  # in range: wrap only skips the bounds check
                 multiply(terms, row, scaled)
                 add(scaled, 0, None, r)
-        return np.split(r, lows[1:])
+                if transition:
+                    rho.take(neighbours, 0, rho_shifted, "wrap")
+                    multiply(rho_terms, row[:3], rho_scaled)
+                    add(rho_scaled, 0, None, rho_flat)
+        rhos = [rho[lo : lo + m, :m] for lo, m in zip(lows, sizes)] if transition else []
+        return np.split(r, lows[1:]), rhos
 
     def _build(self, capacity: int, transition: bool) -> None:
         if capacity < 0:
@@ -320,8 +325,8 @@ class LazyDailyCost:
             raise CapacityLimitError(
                 f"station {self.station_id!r}: capacity {capacity} exceeds the limit {self.capacity_limit}"
             )
-        m = capacity + 1
         if self._finite:
+            m = capacity + 1
             p = self.profile
             if capacity not in self._day_cost:
                 self._day_cost[capacity] = np.array([float(expected_cost_finite(p, capacity - x, x)) for x in range(m)])
@@ -335,19 +340,11 @@ class LazyDailyCost:
                     rho[x, x] += residual
                 self._day_transition[capacity] = rho
             return
-        if not transition:
-            first = capacity - capacity % COST_BLOCK
-            last = min(first + COST_BLOCK - 1, self.capacity_limit)
-            block = [c for c in range(first, last + 1) if c not in self._day_cost]
-            self._day_cost.update(zip(block, self._price_block(block)))
-            return
-        results = self._intervals(capacity)
-        if capacity not in self._day_cost:
-            v = np.zeros(m)
-            for r in reversed(results):
-                v = r.expected_events + r.transition @ v
-            self._day_cost[capacity] = v
-        self._day_transition[capacity] = reduce(lambda a, r: a @ r.transition, results, np.eye(m))
+        first = capacity - capacity % COST_BLOCK
+        block = list(range(first, min(first + COST_BLOCK - 1, self.capacity_limit) + 1))
+        costs, rhos = self._price_block(block, transition)
+        self._day_cost.update((c, v) for c, v in zip(block, costs) if c not in self._day_cost)
+        self._day_transition.update(zip(block, rhos))
 
     def cost_vector(self, capacity: int) -> np.ndarray:
         """Expected daily events indexed by the number of bikes at open."""
@@ -393,8 +390,8 @@ class CostTable:
             if len(row) != s + 1:
                 raise ValidationError(f"table {self.station_id!r}: row {s} has {len(row)} entries, expected {s + 1}")
             for v in row:
-                if v < 0:
-                    raise ValidationError(f"table {self.station_id!r}: negative cost {v}")
+                if not 0 <= v < math.inf:
+                    raise ValidationError(f"table {self.station_id!r}: cost {v} must be finite and non-negative")
 
     def cost(self, d: int, b: int) -> Number:
         if d < 0 or b < 0:
@@ -421,11 +418,11 @@ class CostTable:
         try:
             table = cls(
                 station_id=str(doc["station_id"]),
-                max_capacity=int(doc["max_capacity"]),
+                max_capacity=whole_number(doc["max_capacity"], "max_capacity"),
                 values=tuple(tuple(_num_from_json(v) for v in row) for row in doc["values"]),
                 provenance=str(doc.get("provenance", "finite")),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed cost table document: {exc}") from exc
         table.validate()
         return table

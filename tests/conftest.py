@@ -25,13 +25,14 @@ def philox(*key) -> np.random.Generator:
 
 @pytest.fixture
 def price_blocks(monkeypatch):
-    """Record the capacities of every batched daily-cost computation."""
+    """Record the capacities of every batched kernel pass and whether it
+    built day transitions too."""
     calls = []
     original = LazyDailyCost._price_block
 
-    def spy(self, capacities):
-        calls.append(list(capacities))
-        return original(self, capacities)
+    def spy(self, capacities, transition):
+        calls.append((list(capacities), transition))
+        return original(self, capacities, transition)
 
     monkeypatch.setattr(LazyDailyCost, "_price_block", spy)
     return calls

@@ -311,3 +311,77 @@ class TestWorkflow:
                 ) == 0
                 outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             assert outputs["1"] == outputs["2"]
+
+
+GOOD_STATIONS = [
+    {"id": "a", "current_docks": 4, "current_bikes": 1, "l": 3, "u": 6},
+    {"id": "b", "current_docks": 4, "current_bikes": 1, "l": 3, "u": 6},
+]
+
+
+def optimize_on_bad_table(tmp_path, value):
+    stations = tmp_path / "stations.json"
+    stations.write_text(json.dumps(GOOD_STATIONS))
+    table_dir = tmp_path / "tables"
+    run_tables_for_stations(tmp_path, stations, table_dir)
+    table = read_json(table_dir / "table_a.json")
+    table["values"][3][1] = value
+    (table_dir / "table_a.json").write_text(json.dumps(table))
+    return "optimize", "--stations", stations, "--tables", table_dir, "--bikes", 2, "--docks", 6
+
+
+def one_interval_profiles(tmp_path, ids):
+    path = tmp_path / "profiles.json"
+    path.write_text(
+        json.dumps(
+            {
+                "horizon": {"intervals": 1, "minutes_per_interval": 30.0, "start_hour": 0.0},
+                "stations": [{"id": i, "rental_rates": [0.1], "return_rates": [0.1], "flags": []} for i in ids],
+            }
+        )
+    )
+    return path
+
+
+def tables_on_bad_stations(tmp_path, value):
+    stations = tmp_path / "stations.json"
+    stations.write_text(json.dumps([{**GOOD_STATIONS[0], "current_docks": value}, GOOD_STATIONS[1]]))
+    return "tables", "--profiles", one_interval_profiles(tmp_path, ("a", "b")), "--stations", stations
+
+
+def optimize_on_bad_instance(tmp_path, edit):
+    doc = instance_to_json(exchange_trap_instance()[0])
+    edit(doc["stations"][0])
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return "optimize", "--instance", path
+
+
+def posterior_on_bad_days(tmp_path, period):
+    days = tmp_path / "days.csv"
+    days.write_text(
+        f"station_id,capacity_before,capacity_after,bikes_at_open,observed_events,full_periods\ns,4,3,1,++,{period}\n"
+    )
+    return "posterior", "--days", days, "--profiles", one_interval_profiles(tmp_path, ("s",)), "--resamples", 5
+
+
+MALFORMED_INPUTS = {
+    "table-nan-entry": lambda tmp: optimize_on_bad_table(tmp, float("nan")),
+    "table-text-entry": lambda tmp: optimize_on_bad_table(tmp, "x"),
+    "table-infinite-entry": lambda tmp: optimize_on_bad_table(tmp, float("inf")),
+    "stations-fractional-docks": lambda tmp: tables_on_bad_stations(tmp, 3.7),
+    "stations-infinite-docks": lambda tmp: tables_on_bad_stations(tmp, float("inf")),
+    "instance-text-atom-p": lambda tmp: optimize_on_bad_instance(tmp, lambda s: s["profile"]["atoms"][0].update(p="x")),
+    "instance-text-upper": lambda tmp: optimize_on_bad_instance(tmp, lambda s: s.update(upper="x")),
+    "days-infinite-interval": lambda tmp: posterior_on_bad_days(tmp, "inf:5"),
+    "days-nan-minutes": lambda tmp: posterior_on_bad_days(tmp, "0:nan"),
+    "days-period-longer-than-interval": lambda tmp: posterior_on_bad_days(tmp, "0:300000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_numbers_exit_1(tmp_path, case, capsys):
+    out = tmp_path / "out"
+    assert run(*MALFORMED_INPUTS[case](tmp_path), "--out", out) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "validation"
+    assert not out.exists() or not any(out.iterdir())

@@ -4,6 +4,7 @@ import pytest
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
 from dockalloc.longrun import LongrunCost, day_chain, stationary
+from dockalloc.oracle import day_matrix_path, synthetic_scenario
 from dockalloc.udf import FiniteProfile, LazyDailyCost, check_multimodular, interval_cost_poisson
 
 
@@ -31,9 +32,9 @@ class TestDayTransition:
         daily = LazyDailyCost(p)
         rho = daily.day_transition(5)
         chained = interval_cost_poisson(0.1, 0.2, 30.0, 5).transition @ interval_cost_poisson(0.2, 0.1, 30.0, 5).transition
-        assert np.allclose(rho, chained)
+        assert np.max(np.abs(rho - chained)) <= 1e-12
         assert daily.day_transition(5) is rho
-        assert np.allclose(rho.sum(axis=1), 1.0, atol=1e-9)
+        assert np.max(np.abs(rho.sum(axis=1) - 1.0)) <= 1e-12
 
 
 class TestStationary:
@@ -109,6 +110,14 @@ class TestLongrunCost:
         chain = LongrunCost(p).chain(4)
         assert not chain.ergodic
 
+    def test_poisson_cost_matches_matrix_chain(self):
+        for station in synthetic_scenario(6).stations[:3]:
+            source = LongrunCost(station.profile)
+            for capacity in (0, 8, 21, 45):
+                cost, rho = day_matrix_path(station.profile, capacity)
+                expected = float(stationary(rho)[0] @ cost)
+                assert abs(source.cost(capacity, 0) - expected) <= 1e-12 * max(1.0, expected)
+
     def test_chain_exposed_with_flags(self):
         chain = day_chain(day_transition(FiniteProfile(()), 3))
         assert not chain.ergodic  # identity day chain has no unique fixed point
@@ -143,14 +152,14 @@ class TestBuilds:
         if isinstance(profile, PoissonProfile):
             # one batched build prices the whole aligned block 0..7
             assert builds == [(0, False)]
-            assert price_blocks == [list(range(8))]
+            assert price_blocks == [(list(range(8)), False)]
         else:
             assert builds == [(s, False) for s in range(7)]
             assert price_blocks == []
         assert not daily._day_transition
         for s in (20, 9, 7, 15, 16, 3):
             daily.cost_vector(s)
-        priced = [c for block in price_blocks for c in block]
+        priced = [c for block, _ in price_blocks for c in block]
         assert len(priced) == len(set(priced))  # every capacity computed exactly once
 
     @pytest.mark.parametrize("profile", BOTH_KINDS, ids=["poisson", "finite"])

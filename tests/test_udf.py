@@ -19,7 +19,7 @@ from dockalloc.udf import (
     load_cost_table,
     save_cost_table,
 )
-from dockalloc.oracle import daily_cost_matrix_path, simulate_cost, synthetic_scenario
+from dockalloc.oracle import day_matrix_path, simulate_cost, synthetic_scenario
 
 events_strategy = st.lists(st.sampled_from([-1, 1]), max_size=14).map(tuple)
 
@@ -171,14 +171,21 @@ class TestDailyCost:
 
 
 def matrix_path_gap(daily, capacity):
-    """Largest kernel/matrix-path difference: relative where the cost
-    exceeds 1, absolute below."""
-    reference = daily_cost_matrix_path(daily.profile, capacity)
-    return np.max(np.abs(daily.cost_vector(capacity) - reference) / np.maximum(1.0, np.abs(reference)))
+    """Largest kernel/matrix-path difference over the cost vector (relative
+    where the cost exceeds 1, absolute below) and the day transition; the
+    transition is asked for first on a fresh station, so both outputs come
+    from the transition pass."""
+    cost, rho = day_matrix_path(daily.profile, capacity)
+    transition = daily.day_transition(capacity)
+    assert (transition >= 0).all()
+    assert np.max(np.abs(transition.sum(axis=1) - 1.0)) <= 1e-12
+    cost_gap = np.max(np.abs(daily.cost_vector(capacity) - cost) / np.maximum(1.0, np.abs(cost)))
+    return max(cost_gap, np.max(np.abs(transition - rho)))
 
 
 class TestVectorKernel:
-    """The batched daily-cost kernel against the dense matrix chain."""
+    """The batched kernel's costs and day transitions against the dense
+    matrix chain."""
 
     def test_synthetic_city_matches_matrix_path(self):
         for station in synthetic_scenario(6).stations:
@@ -196,6 +203,12 @@ class TestVectorKernel:
         p = PoissonProfile("h", (90.0,), (76.7,), minutes_per_interval=30.0)  # 5,001 expected arrivals
         assert matrix_path_gap(LazyDailyCost(p), capacity) <= 1e-12
 
+    def test_zero_rates_give_the_exact_identity(self):
+        daily = LazyDailyCost(PoissonProfile("z", (0.0, 0.0), (0.0, 0.0)))
+        for capacity in range(10):
+            assert np.array_equal(daily.day_transition(capacity), np.eye(capacity + 1))
+            assert np.array_equal(daily.cost_vector(capacity), np.zeros(capacity + 1))
+
     def test_cost_vector_independent_of_order(self):
         p = synthetic_scenario(6).stations[1].profile
         alone = {c: LazyDailyCost(p).cost_vector(c) for c in range(46)}
@@ -210,19 +223,32 @@ class TestVectorKernel:
                 assert np.array_equal(source.cost_vector(c), alone[c])
             assert table.values[c] == tuple(float(x) for x in alone[c])
 
+    def test_cost_vector_same_whichever_output_is_asked_first(self):
+        for station in synthetic_scenario(6).stations:
+            by_cost, by_transition = LazyDailyCost(station.profile), LazyDailyCost(station.profile)
+            for capacity in range(0, 46, 3):
+                by_transition.day_transition(capacity)
+                assert np.array_equal(by_transition.cost_vector(capacity), by_cost.cost_vector(capacity))
+
     def test_day_transition_keeps_the_stored_cost(self):
         daily = LazyDailyCost(synthetic_scenario(6).stations[0].profile)
+        stored = daily.cost_vector(9)
         before = [daily.cost(9 - b, b) for b in range(10)]
         daily.day_transition(9)
         assert [daily.cost(9 - b, b) for b in range(10)] == before
+        assert daily.cost_vector(9) is stored
 
     def test_block_skips_capacities_already_built(self, price_blocks):
         daily = LazyDailyCost(synthetic_scenario(6).stations[0].profile)
         daily.day_transition(12)
-        from_chain = daily.cost_vector(12)
+        from_transition_pass = daily.cost_vector(12)
         daily.cost_vector(9)
-        assert price_blocks == [[8, 9, 10, 11, 13, 14, 15]]
-        assert daily.cost_vector(12) is from_chain
+        daily.day_transition(9)
+        daily.cost_vector(3)
+        daily.day_transition(4)
+        block, low = list(range(8, 16)), list(range(8))
+        assert price_blocks == [(block, True), (low, False), (low, True)]
+        assert daily.cost_vector(12) is from_transition_pass
 
     def test_implausible_rates_rejected_at_pricing(self):
         daily = LazyDailyCost(PoissonProfile("big", (0.1, 4000.0), (0.1, 0.0), minutes_per_interval=30.0))
@@ -234,7 +260,7 @@ class TestVectorKernel:
         assert daily.cost(4, 6) >= 0
         with pytest.raises(CapacityLimitError):
             daily.cost(5, 6)
-        assert price_blocks == [[8, 9, 10]]
+        assert price_blocks == [([8, 9, 10], False)]
 
     def test_negative_capacity_rejected(self):
         daily = LazyDailyCost(PoissonProfile("n", (0.1,), (0.1,)))
