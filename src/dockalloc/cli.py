@@ -27,7 +27,7 @@ from . import demand as demand_mod
 from . import oracle as oracle_mod
 from . import posterior as posterior_mod
 from .allocator import Constraints, LogEntry, optimize, optimize_tradeoff
-from .errors import InfeasibleError, ValidationError, whole_number
+from .errors import InfeasibleError, ValidationError, read_json, row_list, whole_number
 from .longrun import LongrunCost
 from .scaling import PhasePlan, optimize_scaled
 from .udf import LazyDailyCost, load_cost_table, save_cost_table
@@ -116,8 +116,7 @@ def cmd_estimate(args) -> int:
 
 
 def _load_stations(path) -> list[dict]:
-    doc = json.loads(Path(path).read_text())
-    rows = doc["stations"] if isinstance(doc, dict) else doc
+    rows = row_list(read_json(path, "stations"), "stations", "stations")
     stations = []
     seen: set[str] = set()
     for row in rows:

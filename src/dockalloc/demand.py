@@ -16,7 +16,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, read_json
 
 RENTAL = "rental"
 RETURN = "return"
@@ -288,4 +288,4 @@ def save_profiles(path: str | Path, profiles: Sequence[PoissonProfile], horizon:
 
 
 def load_profiles(path: str | Path) -> tuple[Horizon, list[PoissonProfile]]:
-    return profiles_from_json(json.loads(Path(path).read_text()))
+    return profiles_from_json(read_json(path, "profiles"))

@@ -1,7 +1,10 @@
-"""Exception types, and the whole-number check of the loaders, shared
-across the package."""
+"""Exception types, and the checks the loaders share: reading a JSON
+file, finding its row list and whole numbers."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class ValidationError(ValueError):
@@ -35,3 +38,21 @@ def whole_number(value, what: str) -> int:
         return int(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a whole number, got {value!r}") from exc
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; a file that is not UTF-8
+    JSON is a ``ValidationError`` naming the ``what`` it should hold."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: not a JSON {what} file: {exc}") from exc
+
+
+def row_list(doc, key: str, what: str) -> list:
+    """The rows of a document that is either a list of them or an object
+    holding that list under ``key``."""
+    rows = doc.get(key) if isinstance(doc, dict) else doc
+    if not isinstance(rows, (list, tuple)):
+        raise ValidationError(f"the {what} document must be a list or an object with a {key!r} list")
+    return rows

@@ -20,7 +20,14 @@ import numpy as np
 
 from .allocator import Allocation, Constraints, dock_move_distance
 from .demand import PoissonProfile
-from .errors import ValidationError, whole_number
+from .errors import ValidationError, read_json, whole_number
+from .posterior import (
+    ImpactEstimate,
+    ObservedDay,
+    _decreased_impact,
+    count_stockouts_masked,
+    rebalancing_adjustment,
+)
 from .udf import (
     CostSource,
     FiniteProfile,
@@ -163,7 +170,7 @@ def save_instance(path: str | Path, spec: InstanceSpec) -> None:
 
 
 def load_instance(path: str | Path) -> InstanceSpec:
-    return instance_from_json(json.loads(Path(path).read_text()))
+    return instance_from_json(read_json(path, "instance"))
 
 
 def _best_bikes(caps: Sequence[int], bike_budget: int, tables: Sequence[CostSource]):
@@ -357,6 +364,71 @@ def day_matrix_path(profile: PoissonProfile, capacity: int) -> tuple[np.ndarray,
         r = interval_cost_poisson(mu, lam, profile.minutes_per_interval, capacity)
         v, rho = r.expected_events + r.transition @ v, r.transition @ rho
     return v, rho
+
+
+def posterior_replay_path(
+    day: ObservedDay,
+    profile: PoissonProfile | None = None,
+    rule: str = "same_bikes",
+    seed: int = 0,
+    resamples: int = 1000,
+    rebalancing: str = "none",
+) -> ImpactEstimate:
+    """``decreased_capacity_impact`` by replaying every resample event by
+    event: the filled day is rebuilt with one scalar Poisson draw per
+    censored period and counted by ``count_stockouts_masked`` under both
+    configurations.  The reference for the posterior's segment tables."""
+    return _decreased_impact(day, profile, rule, seed, resamples, rebalancing, _replay_each_resample)
+
+
+def _replay_each_resample(events, exempt, configs, spots, lams, rng, resamples) -> np.ndarray:
+    diffs = np.empty(resamples)
+    for r in range(resamples):
+        filled: list[int] = []
+        mask: list[bool] = []
+        cursor = 0
+        for (pos, _, _, kind), lam in zip(spots, lams):
+            filled.extend(events[cursor:pos])
+            mask.extend(exempt[cursor:pos])
+            count = int(rng.poisson(lam))
+            filled.extend([1 if kind == "full" else -1] * count)
+            mask.extend([False] * count)
+            cursor = pos
+        filled.extend(events[cursor:])
+        mask.extend(exempt[cursor:])
+        after, before = (count_stockouts_masked(filled, c - b, b, mask) for c, b in configs)
+        diffs[r] = after - before
+    return diffs
+
+
+def random_decreased_day(rng: np.random.Generator, max_capacity: int = 8, max_events: int = 14):
+    """A random day after a capacity cut and a 3-interval profile to fill
+    it: random events with tied timestamps, crew moves among them, and up
+    to three full/empty periods where the crew-spliced trajectory reaches
+    those states.  Returns ``(day, profile)``."""
+    after = int(rng.integers(0, max_capacity + 1))
+    bikes = int(rng.integers(0, after + 1))
+    n = int(rng.integers(0, max_events + 1))
+    events = tuple(int(x) for x in rng.choice([-1, 1], size=n))
+    stamps = tuple(float(t) for t in np.sort(rng.integers(0, 20, n)))
+    crews = tuple(sorted((float(rng.integers(0, 20)), int(rng.integers(-3, 4))) for _ in range(rng.integers(0, 3))))
+    day = ObservedDay("r", after + int(rng.integers(0, 5)), after, bikes, events, stamps, rebalancing_events=crews)
+    states = [bikes]
+    for x in rebalancing_adjustment(day, "optimistic")[0]:
+        states.append(min(after, max(0, states[-1] + x)))
+    reached = [q for q, x in enumerate(states) if x in (0, after)]
+    chosen = np.sort(rng.choice(reached, size=min(len(reached), int(rng.integers(0, 4))), replace=False))
+    full, empty = [], []
+    for interval, q in enumerate(chosen):
+        kind = full if states[q] == after and (states[q] != 0 or rng.random() < 0.5) else empty
+        kind.append((interval, float(rng.integers(0, 31))))
+    profile = PoissonProfile(
+        station_id="r",
+        rental_rates=tuple(float(r) for r in rng.uniform(0, 0.4, 3) * (rng.random(3) < 0.8)),
+        return_rates=tuple(float(r) for r in rng.uniform(0, 0.4, 3) * (rng.random(3) < 0.8)),
+        minutes_per_interval=30.0,
+    )
+    return replace(day, full_periods=tuple(full), empty_periods=tuple(empty)), profile
 
 
 def exchange_trap_instance() -> tuple[InstanceSpec, dict]:

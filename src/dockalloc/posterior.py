@@ -16,8 +16,9 @@ count.
 from __future__ import annotations
 
 import csv
-import json
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .demand import PoissonProfile
-from .errors import ValidationError, whole_number
+from .errors import ValidationError, read_json, row_list, whole_number
 
 RULES = ("same_bikes", "proportional")
 REBALANCING_MODES = ("none", "strict", "optimistic")
@@ -236,8 +237,21 @@ def decreased_capacity_impact(
 
     Fills the censored full/empty stretches with Poisson draws of intended
     returns/rentals, then compares the replay under the new (smaller) and
-    old configurations; reported as a non-negative increase.
+    old configurations; reported as a non-negative increase.  All draws
+    come from one array and every resample is priced off segment tables
+    (``_price_by_segments``); ``oracle.posterior_replay_path`` replays each
+    resample event by event and is the reference.
     """
+    return _decreased_impact(day, profile, rule, seed, resamples, rebalancing, _price_by_segments)
+
+
+def _decreased_impact(day, profile, rule, seed, resamples, rebalancing, price) -> ImpactEstimate:
+    """``decreased_capacity_impact`` with the resamples priced by
+    ``price(events, exempt, configs, spots, lams, rng, resamples)``, which
+    returns the per-resample miss differences (new minus old
+    configuration); ``configs`` holds the (capacity, bikes at open) pairs
+    after and before the change, and ``lams`` the Poisson mean of each
+    spot's inserted block."""
     day.validate()
     if day.capacity_before < day.capacity_after:
         raise ValidationError(
@@ -251,17 +265,12 @@ def decreased_capacity_impact(
     else:
         events, exempt = rebalancing_adjustment(day, rebalancing)
 
-    d_after = day.capacity_after - day.bikes_at_open
-    b_after = day.bikes_at_open
-    b_before = resolve_bikes_before(day, rule)
-    d_before = day.capacity_before - b_before
+    configs = ((day.capacity_after, day.bikes_at_open), (day.capacity_before, resolve_bikes_before(day, rule)))
 
     periods = [(i, m, "full") for i, m in day.full_periods] + [(i, m, "empty") for i, m in day.empty_periods]
     if not periods:
-        diff = count_stockouts_masked(events, d_after, b_after, exempt) - count_stockouts_masked(
-            events, d_before, b_before, exempt
-        )
-        return ImpactEstimate(mean=float(diff), stderr=0.0, resamples=1, seed=seed)
+        after, before = (count_stockouts_masked(events, c - b, b, exempt) for c, b in configs)
+        return ImpactEstimate(mean=float(after - before), stderr=0.0, resamples=1, seed=seed)
 
     if profile is None:
         raise ValidationError(
@@ -278,31 +287,63 @@ def decreased_capacity_impact(
             )
 
     spots = _insertion_points(day, periods, rebalancing)
+    lams = [
+        (profile.return_rates if kind == "full" else profile.rental_rates)[interval] * minutes
+        for _, interval, minutes, kind in spots
+    ]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    diffs = np.empty(resamples)
-    for r in range(resamples):
-        filled: list[int] = []
-        mask: list[bool] = []
-        cursor = 0
-        for pos, interval, minutes, kind in spots:
-            filled.extend(events[cursor:pos])
-            mask.extend(exempt[cursor:pos])
-            if kind == "full":
-                count = int(rng.poisson(profile.return_rates[interval] * minutes))
-                filled.extend([1] * count)
-            else:
-                count = int(rng.poisson(profile.rental_rates[interval] * minutes))
-                filled.extend([-1] * count)
-            mask.extend([False] * (len(filled) - len(mask)))
-            cursor = pos
-        filled.extend(events[cursor:])
-        mask.extend(exempt[cursor:])
-        diffs[r] = count_stockouts_masked(filled, d_after, b_after, mask) - count_stockouts_masked(
-            filled, d_before, b_before, mask
-        )
+    diffs = price(events, exempt, configs, spots, lams, rng, resamples)
     mean = float(diffs.mean())
     stderr = 0.0 if resamples == 1 else float(diffs.std(ddof=1) / math.sqrt(resamples))
     return ImpactEstimate(mean=mean, stderr=stderr, resamples=resamples, seed=seed)
+
+
+def _segment_table(events: Sequence[int], exempt: Sequence[bool], capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Replay ``events`` from every start bike count 0..capacity at once:
+    the bike count at the end and the misses charged, both indexed by the
+    start count.  A run of ``n`` same-sign events moves the count by as much
+    as the room allows, ``k = min(room, n)``, and its last ``n - k`` events
+    fail; ``charged[k]`` counts the non-exempt ones among them."""
+    bikes = np.arange(capacity + 1)
+    misses = np.zeros(capacity + 1, dtype=np.int64)
+    for sign, run in itertools.groupby(zip(events, exempt), key=lambda event: event[0]):
+        charged = np.cumsum([0] + [not skip for _, skip in run][::-1])[::-1]
+        moved = np.minimum(capacity - bikes if sign == 1 else bikes, len(charged) - 1)
+        misses += charged[moved]
+        bikes = bikes + sign * moved
+    return bikes, misses
+
+
+def _price_by_segments(events, exempt, configs, spots, lams, rng, resamples) -> np.ndarray:
+    """Every resample's miss difference in one numpy pass.  The observed
+    events between two insertion points replay the same way from the same
+    start count, so each such segment is tabulated once per configuration
+    and looked up for all resamples; an inserted block of ``n`` returns from
+    ``x`` bikes charges ``max(0, x + n - c)`` and leaves ``min(c, x + n)``,
+    rentals mirror it.  Row-major draws keep the scalar draw order: resample
+    by resample, spot by spot."""
+    counts = rng.poisson(np.repeat(np.asarray(lams, dtype=float)[None, :], resamples, 0))
+    bounds = [0] + [pos for pos, *_ in spots] + [len(events)]
+    totals = []
+    for capacity, bikes_at_open in configs:
+        bikes = np.full(resamples, bikes_at_open)
+        misses = np.zeros(resamples, dtype=np.int64)
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            end, charged = _segment_table(events[lo:hi], exempt[lo:hi], capacity)
+            misses += charged[bikes]
+            bikes = end[bikes]
+            if k < len(spots):
+                n = counts[:, k]
+                full = spots[k][3] == "full"
+                moved = np.minimum(capacity - bikes if full else bikes, n)
+                misses += n - moved
+                bikes = bikes + moved if full else bikes - moved
+        totals.append(misses)
+    return (totals[0] - totals[1]).astype(float)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def posterior_report(
@@ -315,6 +356,10 @@ def posterior_report(
 ) -> dict:
     """Station-level and aggregate impact under the four evaluation columns
     (bike rule x rebalancing on/off)."""
+    if not _is_int(resamples) or resamples < 1:
+        raise ValidationError(f"resamples must be an integer >= 1, got {resamples!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     if rebalancing_mode not in ("strict", "optimistic"):
         raise ValidationError(f"unknown rebalancing mode {rebalancing_mode!r}")
     columns = [
@@ -398,8 +443,7 @@ def _day_from_json(doc: dict) -> ObservedDay:
 
 
 def days_from_json(doc) -> list[ObservedDay]:
-    rows = doc["days"] if isinstance(doc, dict) else doc
-    return [_day_from_json(row) for row in rows]
+    return [_day_from_json(row) for row in row_list(doc, "days", "observed days")]
 
 
 def _parse_events(text: str) -> tuple[int, ...]:
@@ -456,4 +500,4 @@ def load_days(path: str | Path) -> list[ObservedDay]:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return days_from_csv(path)
-    return days_from_json(json.loads(path.read_text()))
+    return days_from_json(read_json(path, "observed days"))

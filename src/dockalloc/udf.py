@@ -28,7 +28,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .demand import PoissonProfile
-from .errors import CapacityLimitError, ValidationError, whole_number
+from .errors import CapacityLimitError, ValidationError, read_json, whole_number
 
 Number = int | float | Fraction
 
@@ -445,7 +445,7 @@ def save_cost_table(path: str | Path, table: CostTable) -> None:
 
 
 def load_cost_table(path: str | Path) -> CostTable:
-    return CostTable.from_json(json.loads(Path(path).read_text()))
+    return CostTable.from_json(read_json(path, "cost table"))
 
 
 def cost_table_from_finite(

@@ -15,12 +15,14 @@ from .oracle import (
     brute_force_optimum,
     counterexample_fixtures,
     feasible_within_moves,
+    posterior_replay_path,
+    random_decreased_day,
     random_finite_profile,
     random_instance,
     simulate_cost,
 )
 from .demand import PoissonProfile
-from .posterior import censored_subsequence
+from .posterior import REBALANCING_MODES, RULES, censored_subsequence, decreased_capacity_impact
 from .scaling import PhasePlan, optimize_scaled
 from .udf import LazyDailyCost, check_multimodular, cost_table_from_finite, count_stockouts
 
@@ -181,6 +183,23 @@ def _check_censoring_identity(seed: int, samples: int) -> dict:
     }
 
 
+def _check_posterior_replay(seed: int, days: int, resamples: int) -> dict:
+    failures = []
+    for case in range(days):
+        day, profile = random_decreased_day(_rng(seed, 6000 + case))
+        for rule in RULES:
+            for mode in REBALANCING_MODES:
+                args = (day, profile, rule, seed + case, resamples, mode)
+                fast, slow = decreased_capacity_impact(*args), posterior_replay_path(*args)
+                if fast != slow:
+                    failures.append(f"day {case} {rule}/{mode}: {fast} != replay {slow}")
+    return {
+        "name": "posterior_replay",
+        "passed": not failures,
+        "details": failures or f"{days} random days x {len(RULES) * len(REBALANCING_MODES)} columns equal the replay",
+    }
+
+
 def run_verification(seed: int = 0, instances: int = 25, trials: int = 20000) -> dict:
     if instances < 1 or trials < 1:
         raise ValidationError("instances and trials must be positive")
@@ -192,6 +211,7 @@ def run_verification(seed: int = 0, instances: int = 25, trials: int = 20000) ->
         _check_multimodularity(seed, instances),
         _check_simulation_agreement(seed, cases=max(5, instances // 3), trials=trials),
         _check_censoring_identity(seed, samples=2000),
+        _check_posterior_replay(seed, days=60, resamples=50),
     ]
     return {
         "seed": seed,

@@ -385,3 +385,74 @@ def test_malformed_numbers_exit_1(tmp_path, case, capsys):
     assert run(*MALFORMED_INPUTS[case](tmp_path), "--out", out) == 1
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "validation"
     assert not out.exists() or not any(out.iterdir())
+
+
+GROWN_DAY = {"station_id": "g", "capacity_before": 2, "capacity_after": 4, "bikes_at_open": 1, "observed_events": [1, 1]}
+CUT_DAY = {"station_id": "s", "capacity_before": 4, "capacity_after": 3, "bikes_at_open": 3, "full_periods": [[0, 20.0]]}
+
+
+@pytest.mark.parametrize(
+    "day, flag, value",
+    [
+        (GROWN_DAY, "--resamples", -3),
+        (GROWN_DAY, "--resamples", 0),
+        (CUT_DAY, "--seed", -1),
+    ],
+)
+def test_posterior_rejects_bad_parameters_before_any_day(tmp_path, capsys, day, flag, value):
+    days = tmp_path / "days.json"
+    days.write_text(json.dumps({"days": [day]}))
+    profiles = one_interval_profiles(tmp_path, ("s",))
+    out = tmp_path / "out"
+    assert run("posterior", "--days", days, "--profiles", profiles, flag, value, "--out", out) == 1
+    message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+    assert flag.lstrip("-") in message
+    assert not out.exists()
+
+
+def posterior_reading(tmp_path, path):
+    return "posterior", "--days", path
+
+
+def tables_reading_profiles(tmp_path, path):
+    return "tables", "--profiles", path
+
+
+def tables_reading_stations(tmp_path, path):
+    return "tables", "--profiles", one_interval_profiles(tmp_path, ("a", "b")), "--stations", path
+
+
+def optimize_reading_instance(tmp_path, path):
+    return "optimize", "--instance", path
+
+
+def optimize_reading_table(tmp_path, path):
+    stations = tmp_path / "stations.json"
+    stations.write_text(json.dumps(GOOD_STATIONS))
+    return "optimize", "--stations", stations, "--tables", path, "--bikes", 2, "--docks", 6
+
+
+JSON_LOADERS = {
+    "days": posterior_reading,
+    "profiles": tables_reading_profiles,
+    "stations": tables_reading_stations,
+    "instance": optimize_reading_instance,
+    "cost-table": optimize_reading_table,
+}
+NOT_A_DOCUMENT = {
+    "empty-object": b"{}",
+    "not-json": b"not json",
+    "list-of-lists": b"[[]]",
+    "not-utf8": b"\xff\xfe{}",
+}
+
+
+@pytest.mark.parametrize("content", sorted(NOT_A_DOCUMENT))
+@pytest.mark.parametrize("loader", sorted(JSON_LOADERS))
+def test_malformed_json_exits_1(tmp_path, capsys, loader, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(NOT_A_DOCUMENT[content])
+    out = tmp_path / "out"
+    assert run(*JSON_LOADERS[loader](tmp_path, path), "--out", out) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "validation"
+    assert not out.exists()

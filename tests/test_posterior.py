@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
+from dockalloc.oracle import posterior_replay_path, random_decreased_day
 from dockalloc.posterior import (
     ObservedDay,
     added_capacity_impact,
@@ -122,6 +123,62 @@ class TestDecreasedCapacity:
         day = ObservedDay("a", capacity_before=1, capacity_after=3, bikes_at_open=0)
         with pytest.raises(ValidationError, match="increased"):
             decreased_capacity_impact(day)
+
+
+class TestSegmentTables:
+    """The segment-table pricing against the event-by-event replay."""
+
+    @staticmethod
+    def day(seed):
+        return random_decreased_day(np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 2**16))
+    def test_equals_the_replay_reference(self, day_seed, resamples, seed):
+        day, profile = self.day(day_seed)
+        for rule in ("same_bikes", "proportional"):
+            for mode in ("none", "strict", "optimistic"):
+                args = (day, profile, rule, seed, resamples, mode)
+                assert decreased_capacity_impact(*args) == posterior_replay_path(*args), (rule, mode)
+
+    def test_random_days_cover_crews_periods_and_exemptions(self):
+        seen = set()
+        for seed in range(200):
+            day, _ = self.day(seed)
+            seen.update(
+                name
+                for name, present in (
+                    ("full", day.full_periods),
+                    ("empty", day.empty_periods),
+                    ("crew", any(c for _, c in day.rebalancing_events)),
+                    ("tie", set(day.event_timestamps) & {t for t, _ in day.rebalancing_events}),
+                    ("exempt", day.full_periods and any(rebalancing_adjustment(day, "optimistic")[1])),
+                )
+                if present
+            )
+        assert seen == {"full", "empty", "crew", "tie", "exempt"}
+
+    def test_array_draw_keeps_the_scalar_draw_order(self):
+        # zero, below and above numpy's switch to rejection sampling at 10
+        lams = [0.0, 0.4, 3.7, 9.99, 10.0, 12.5, 61.0]
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
+        scalar = [[int(rng.poisson(lam)) for lam in lams] for _ in range(64)]
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
+        array = rng.poisson(np.repeat(np.asarray(lams)[None, :], 64, 0))
+        assert array.tolist() == scalar
+
+    def test_verify_counts_a_mismatch_as_a_violation(self, monkeypatch):
+        import dataclasses
+
+        from dockalloc import verify
+
+        assert verify._check_posterior_replay(0, days=8, resamples=5)["passed"]
+
+        def one_miss_off(*args):
+            est = posterior_replay_path(*args)
+            return dataclasses.replace(est, mean=est.mean + 1.0)
+
+        monkeypatch.setattr(verify, "decreased_capacity_impact", one_miss_off)
+        assert not verify._check_posterior_replay(0, days=8, resamples=5)["passed"]
 
 
 class TestRebalancing:
