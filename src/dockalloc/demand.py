@@ -13,10 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import ValidationError, read_json
+from .errors import ValidationError, read_json, reading
 
 RENTAL = "rental"
 RETURN = "return"
@@ -176,10 +177,13 @@ def estimate_rates(
 
 def _parse_timestamp(raw: str) -> float:
     raw = raw.strip()
-    try:
-        return float(int(raw))
-    except ValueError:
-        pass
+    # An int literal has no ':' and no '-' past its sign, so an ISO stamp
+    # goes straight to fromisoformat instead of raising in int() first.
+    if ":" not in raw and "-" not in raw[1:]:
+        try:
+            return float(int(raw))
+        except ValueError:
+            pass
     try:
         stamp = datetime.fromisoformat(raw)
     except ValueError as exc:
@@ -187,48 +191,49 @@ def _parse_timestamp(raw: str) -> float:
     return stamp.hour * 3600 + stamp.minute * 60 + stamp.second + stamp.microsecond / 1e6
 
 
+def _csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """The ``columns`` fields, in that order, of each non-blank row of the
+    ``what`` CSV file at ``path``. The header must name every column exactly
+    once; other columns are ignored."""
+    with reading(path, f"{what} CSV"), open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(columns).issubset(header):
+            raise ValidationError(f"{path}: {what} CSV must have header {','.join(columns)}")
+        for name in columns:
+            if header.count(name) > 1:
+                raise ValidationError(f"{path}: column {name!r} appears {header.count(name)} times in the header")
+        positions = [header.index(name) for name in columns]
+        pick = itemgetter(*positions)
+        width = max(positions) + 1
+        for row in reader:
+            if len(row) >= width:
+                yield pick(row)
+            elif row:
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: short row, {len(row)} fields where the header has {len(header)}"
+                )
+
+
 def load_trips_csv(path: str | Path) -> list[TripRecord]:
     """Read ``station_id,timestamp,kind`` rows; timestamps may be integer
     seconds since midnight or ISO-8601 (auto-detected)."""
-    trips = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"station_id", "timestamp", "kind"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(f"{path}: trips CSV must have header station_id,timestamp,kind")
-        for row in reader:
-            trips.append(
-                TripRecord(
-                    station_id=row["station_id"].strip(),
-                    timestamp=_parse_timestamp(row["timestamp"]),
-                    kind=row["kind"].strip(),
-                )
-            )
-    return trips
+    rows = _csv_rows(path, "trips", ("station_id", "timestamp", "kind"))
+    return [TripRecord(sid.strip(), _parse_timestamp(stamp), kind.strip()) for sid, stamp, kind in rows]
+
+
+_STATUS_COLUMNS = ("station_id", "interval", "minutes_nonempty", "minutes_nonfull")
 
 
 def load_status_csv(path: str | Path) -> list[StatusRecord]:
     """Read ``station_id,interval,minutes_nonempty,minutes_nonfull`` rows."""
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"station_id", "interval", "minutes_nonempty", "minutes_nonfull"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(
-                f"{path}: status CSV must have header station_id,interval,minutes_nonempty,minutes_nonfull"
-            )
-        for row in reader:
-            try:
-                records.append(
-                    StatusRecord(
-                        station_id=row["station_id"].strip(),
-                        interval_index=int(row["interval"]),
-                        minutes_nonempty=float(row["minutes_nonempty"]),
-                        minutes_nonfull=float(row["minutes_nonfull"]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValidationError(f"{path}: bad status row {row}") from exc
+    for row in _csv_rows(path, "status", _STATUS_COLUMNS):
+        sid, interval, nonempty, nonfull = row
+        try:
+            records.append(StatusRecord(sid.strip(), int(interval), float(nonempty), float(nonfull)))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad status row {dict(zip(_STATUS_COLUMNS, row))}") from exc
     return records
 
 

@@ -1,9 +1,11 @@
-"""Exception types, and the checks the loaders share: reading a JSON
-file, finding its row list and whole numbers."""
+"""Exception types, and the checks the loaders share: reading a file,
+reading a JSON file, finding its row list and whole numbers."""
 
 from __future__ import annotations
 
+import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -40,12 +42,26 @@ def whole_number(value, what: str) -> int:
         raise ValidationError(f"{what} must be a whole number, got {value!r}") from exc
 
 
-def read_json(path, what: str):
-    """The JSON document in the file at ``path``; a file that is not UTF-8
-    JSON is a ``ValidationError`` naming the ``what`` it should hold."""
+@contextmanager
+def reading(path, what: str):
+    """Inside the block, a file at ``path`` that is missing, unreadable, not
+    UTF-8 or not CSV is a ``ValidationError`` naming the ``what`` it should
+    hold."""
     try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        yield
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: cannot read the {what} file: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; a file that cannot be read
+    or is not JSON is a ``ValidationError`` naming the ``what`` it should
+    hold."""
+    with reading(path, what):
+        text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not a JSON {what} file: {exc}") from exc
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .demand import PoissonProfile
-from .errors import ValidationError, read_json, row_list, whole_number
+from .errors import ValidationError, read_json, reading, row_list, whole_number
 
 RULES = ("same_bikes", "proportional")
 REBALANCING_MODES = ("none", "strict", "optimistic")
@@ -466,7 +466,7 @@ def days_from_csv(path: str | Path) -> list[ObservedDay]:
     periods ``interval:minutes`` and rebalancing ``timestamp:count`` chunks
     joined by ``|``."""
     days = []
-    with open(path, newline="") as fh:
+    with reading(path, "days CSV"), open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"station_id", "capacity_before", "capacity_after", "bikes_at_open"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -456,3 +456,45 @@ def test_malformed_json_exits_1(tmp_path, capsys, loader, content):
     assert run(*JSON_LOADERS[loader](tmp_path, path), "--out", out) == 1
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "validation"
     assert not out.exists()
+
+
+def small_csv(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def estimate_missing_trips(tmp_path, missing):
+    status = small_csv(tmp_path, "status.csv", "station_id,interval,minutes_nonempty,minutes_nonfull\na,0,30,30\n")
+    return "estimate", "--trips", missing, "--status", status, "--days", 1
+
+
+def estimate_missing_status(tmp_path, missing):
+    trips = small_csv(tmp_path, "trips.csv", "station_id,timestamp,kind\na,600,rental\n")
+    return "estimate", "--trips", trips, "--status", missing, "--days", 1
+
+
+def optimize_missing_stations(tmp_path, missing):
+    return "optimize", "--stations", missing, "--profiles", one_interval_profiles(tmp_path, ("a",)), "--bikes", 1, "--docks", 1
+
+
+MISSING_INPUTS = {
+    "estimate-trips": (estimate_missing_trips, "trips.csv"),
+    "estimate-status": (estimate_missing_status, "status.csv"),
+    "tables-profiles": (tables_reading_profiles, "profiles.json"),
+    "optimize-stations": (optimize_missing_stations, "stations.json"),
+    "posterior-days-json": (posterior_reading, "days.json"),
+    "posterior-days-csv": (posterior_reading, "days.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUTS))
+def test_missing_input_file_exits_1(tmp_path, capsys, case):
+    command, name = MISSING_INPUTS[case]
+    missing = tmp_path / "nowhere" / name
+    out = tmp_path / "out"
+    assert run(*command(tmp_path, missing), "--out", out) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "validation"
+    assert str(missing) in error["message"]
+    assert not out.exists()

@@ -1,6 +1,14 @@
+import csv
+import io
 import json
+import re
+import tempfile
+from datetime import datetime
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dockalloc.demand import (
     Horizon,
@@ -11,6 +19,7 @@ from dockalloc.demand import (
     load_profiles,
     load_status_csv,
     load_trips_csv,
+    _parse_timestamp,
     save_profiles,
 )
 from dockalloc.errors import ValidationError
@@ -131,3 +140,218 @@ def test_profiles_json_round_trip(tmp_path):
     assert loaded[0].flags == profiles[0].flags
     doc = json.loads(path.read_text())
     assert set(doc["horizon"]) == {"intervals", "minutes_per_interval", "start_hour"}
+
+
+
+def write(tmp_path, text):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "loader, text, fields",
+    [
+        (load_trips_csv, "station_id,timestamp,kind\na,60,rental\nb,120\n", 2),
+        (load_status_csv, "station_id,interval,minutes_nonempty,minutes_nonfull\na,0,30,30\na,1,30\n", 3),
+    ],
+    ids=["trips", "status"],
+)
+def test_short_row_names_file_and_line(tmp_path, loader, text, fields):
+    path = write(tmp_path, text)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}, line 3: short row, {fields} fields")):
+        loader(path)
+
+
+def test_short_row_that_holds_every_required_column_loads(tmp_path):
+    trips = load_trips_csv(write(tmp_path, "station_id,timestamp,kind,note\na,60,rental\n"))
+    assert trips == [TripRecord("a", 60.0, "rental")]
+
+
+@pytest.mark.parametrize(
+    "loader, header",
+    [
+        (load_trips_csv, "station_id,timestamp,kind,kind"),
+        (load_status_csv, "interval,station_id,interval,minutes_nonempty,minutes_nonfull"),
+    ],
+    ids=["trips", "status"],
+)
+def test_repeated_required_column_rejected(tmp_path, loader, header):
+    path = write(tmp_path, header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+    with pytest.raises(ValidationError, match="appears 2 times in the header"):
+        loader(path)
+
+
+# The DictReader loaders and timestamp parser as they were before the
+# positional row reader: the reference the loaders must agree with.
+def reference_parse_timestamp(raw: str) -> float:
+    raw = raw.strip()
+    try:
+        return float(int(raw))
+    except ValueError:
+        pass
+    try:
+        stamp = datetime.fromisoformat(raw)
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse timestamp {raw!r} as seconds or ISO-8601") from exc
+    return stamp.hour * 3600 + stamp.minute * 60 + stamp.second + stamp.microsecond / 1e6
+
+
+def reference_load_trips_csv(path):
+    trips = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        required = {"station_id", "timestamp", "kind"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ValidationError(f"{path}: trips CSV must have header station_id,timestamp,kind")
+        for row in reader:
+            trips.append(
+                TripRecord(
+                    station_id=row["station_id"].strip(),
+                    timestamp=reference_parse_timestamp(row["timestamp"]),
+                    kind=row["kind"].strip(),
+                )
+            )
+    return trips
+
+
+def reference_load_status_csv(path):
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        required = {"station_id", "interval", "minutes_nonempty", "minutes_nonfull"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ValidationError(
+                f"{path}: status CSV must have header station_id,interval,minutes_nonempty,minutes_nonfull"
+            )
+        for row in reader:
+            try:
+                records.append(
+                    StatusRecord(
+                        station_id=row["station_id"].strip(),
+                        interval_index=int(row["interval"]),
+                        minutes_nonempty=float(row["minutes_nonempty"]),
+                        minutes_nonfull=float(row["minutes_nonfull"]),
+                    )
+                )
+            except ValueError as exc:
+                raise ValidationError(f"{path}: bad status row {row}") from exc
+    return records
+
+
+def outcome(parse, *args):
+    """What ``parse`` returns, or the type and message of what it raises."""
+    try:
+        return "ok", parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def padded(fields):
+    return st.tuples(st.sampled_from(["", " ", "\t"]), fields, st.sampled_from(["", " ", "  "])).map("".join)
+
+
+_iso_stamps = st.builds(
+    "{}{}{:02d}:{:02d}:{:02d}{}{}".format,
+    st.sampled_from(["2026-06-02", "2026-12-31", "1999-01-01"]),
+    st.sampled_from(["T", " "]),
+    st.integers(0, 23),
+    st.integers(0, 59),
+    st.integers(0, 59),
+    st.sampled_from(["", ".5", ".123", ".123456"]),
+    st.sampled_from(["", "+00:00", "+05:30", "-08:00", "Z"]),
+)
+_second_stamps = st.one_of(
+    st.integers(-90_000, 90_000).map(str),
+    st.sampled_from(["+12", "-5", "1_000", "²", "007", "٣٦٠٠", "-0"]),
+)
+_bad_stamps = st.sampled_from(
+    ["", "noon", "1.5", "12:30", "25:00:00", "2026-13-01T00:00:00", "--5", "5-", "1__0", "2026-06-02T01:00:30+", "20260602T010030"]
+)
+timestamps = padded(st.one_of(_iso_stamps, _second_stamps, _bad_stamps))
+
+
+@given(st.one_of(timestamps, st.text(max_size=30)))
+@settings(max_examples=300)
+def test_timestamp_parse_matches_reference(raw):
+    assert outcome(_parse_timestamp, raw) == outcome(reference_parse_timestamp, raw)
+
+
+TRIP_FIELDS = {
+    "station_id": padded(st.sampled_from(["a", "b", "st 7", ""])),
+    "timestamp": timestamps,
+    "kind": padded(st.sampled_from(["rental", "return", "x"])),
+}
+STATUS_FIELDS = {
+    "station_id": padded(st.sampled_from(["a", "b", "st 7", ""])),
+    "interval": padded(st.one_of(st.integers(-2, 60).map(str), st.sampled_from(["3.0", "x", "+4", ""]))),
+    "minutes_nonempty": padded(st.one_of(st.floats(-1, 40).map(repr), st.sampled_from(["30", "nan", "inf", "1e1", "x"]))),
+    "minutes_nonfull": padded(st.one_of(st.floats(-1, 40).map(repr), st.sampled_from(["30", "-0.0", "x", ""]))),
+}
+EXTRA_FIELDS = {"note": padded(st.sampled_from(["", "ok", "a,b", 'say "hi"'])), "day": st.integers(0, 13).map(str)}
+
+
+@st.composite
+def csv_texts(draw, fields):
+    """CSV text with the ``fields`` columns, some extra ones, all permuted;
+    CRLF or LF lines, blank lines, and rows cut short or run long."""
+    header = draw(st.permutations(list(fields) + draw(st.lists(st.sampled_from(list(EXTRA_FIELDS)), unique=True))))
+    strategies = {**fields, **EXTRA_FIELDS}
+    if draw(st.integers(0, 9)) == 0:  # a column name with space around it does not count
+        header[0] = f" {header[0]}"
+        strategies[header[0]] = strategies[header[0][1:]]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            buffer.write(writer.dialect.lineterminator)
+            continue
+        row = [draw(strategies[name]) for name in header]
+        shape = draw(st.integers(0, 9))
+        if shape == 0:
+            row = row[: draw(st.integers(1, len(header)))]
+        elif shape == 1:
+            row += ["surplus"]
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+def loaded(loader, path):
+    """The records ``loader`` reads, by ``repr`` so NaN fields compare equal;
+    ``"rejected"`` for a ValidationError, ``"short row"`` for a reference
+    crash on a field that a short row lacks."""
+    try:
+        return repr(loader(path))
+    except ValidationError:
+        return "rejected"
+    except (AttributeError, TypeError):
+        assert loader in (reference_load_trips_csv, reference_load_status_csv)
+        return "short row"
+
+
+@pytest.mark.parametrize(
+    "loader, reference, fields",
+    [
+        (load_trips_csv, reference_load_trips_csv, TRIP_FIELDS),
+        (load_status_csv, reference_load_status_csv, STATUS_FIELDS),
+    ],
+    ids=["trips", "status"],
+)
+def test_loaders_match_dictreader_reference(loader, reference, fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+
+        @given(csv_texts(fields))
+        @settings(max_examples=200)
+        def check(text):
+            path.write_text(text, newline="")
+            expected = loaded(reference, path)
+            if expected == "short row":
+                # the reference crashed; the loader must name the short row
+                with pytest.raises(ValidationError, match="short row"):
+                    loader(path)
+            else:
+                assert loaded(loader, path) == expected
+
+        check()
