@@ -448,9 +448,6 @@ class _Descent:
             applied.append((move, self.objective))
         return applied
 
-    def state(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(self.d), tuple(self.b)
-
 
 def _extended_problem(constraints: Constraints, tables: Sequence[CostSource]):
     """Append the depot: holds all slack bikes plus, later, any undeployed
@@ -474,18 +471,24 @@ def _run_additions(
     extra: int,
     *,
     threshold: float,
-) -> tuple[list[tuple[DockMove, Number]], _Descent]:
+) -> tuple[Number, list[tuple[DockMove, Number]]]:
     """Deploy up to ``extra`` fresh docks out of the depot, best station
     first.  Each step is one greedy depot-outgoing move, which tracks the
-    optimum as the dock budget grows one dock at a time."""
+    optimum as the dock budget grows one dock at a time.  Returns the
+    objective at the start and each move with the objective after it.
+
+    The depot's side deltas are all 0 and each of its moves stays feasible
+    while stock remains, so the first ``D`` moves and their objectives are
+    the same for any ``extra >= D``: one run serves every smaller stock by
+    its prefix."""
     depot = len(sources) - 1
     docks = list(docks)
     upper = list(upper)
     docks[depot] += extra
     upper[depot] += extra
     engine = _Descent(sources, lower, upper, docks, bikes, threshold=threshold)
-    moves = engine.run(max_iterations=extra, from_station=depot)
-    return moves, engine
+    start = engine.objective
+    return start, engine.run(max_iterations=extra, from_station=depot)
 
 
 def _unit_descent(sources, lower, upper, docks, bikes, threshold, max_budget):
@@ -530,6 +533,11 @@ def _sweep(
     uncapped descent, then all the surplus.  Returns the result with the
     chosen ``z`` and ``new``.
 
+    The additions are prefix-optimal, so each distinct budget gets one
+    depot run, stocked for the largest ``deployed`` among its candidates,
+    and every candidate of that budget reads its objective off the run
+    after its ``deployed``-th move.  Only the winner's state is rebuilt.
+
     ``descend(sources, lower, upper, docks, bikes, threshold, max_budget)``
     gets the extended problem, its baseline state and the largest budget
     any candidate asks for.  It returns the objective at its start state and
@@ -549,41 +557,43 @@ def _sweep(
     else:
         unit_cost, joint = 0, constraints.max_moves
         purchases = range(1)
+    by_budget: dict[int | None, list[tuple[int, int | None, int]]] = {}
     if joint is None:
-        candidates = [(0, None, extra, None)]
+        by_budget[None] = [(0, None, extra)]
     else:
-        candidates = []
         for new in purchases:
             z = joint - unit_cost * new
             allowance = 2 * z + new
             for deployed in range(min(extra + new, headroom, allowance) + 1):
-                candidates.append((new, z, deployed, (allowance - deployed) // 2))
+                by_budget.setdefault((allowance - deployed) // 2, []).append((new, z, deployed))
 
     bikes = list(constraints.baseline_bikes) + [constraints.bike_budget - sum(constraints.baseline_bikes)]
     docks = [c - b for c, b in zip(caps, bikes)]
     initial, reach = descend(sources, lower, upper, docks, bikes, threshold, joint)
-    reached = {}
     best = None
-    for new, z, deployed, budget in candidates:
-        if budget not in reached:
-            reached[budget] = reach(budget)
-        d, b, moves, phases = reached[budget]
-        additions, engine = _run_additions(sources, lower, upper, d, b, deployed, threshold=threshold)
-        key = (engine.objective, new, deployed)
-        if best is None or key < best[0]:
-            best = (key, z, new, engine, moves + additions, phases, len(additions))
+    for budget, group in by_budget.items():
+        d, b, moves, phases = reach(budget)
+        stock = max(deployed for _, _, deployed in group)
+        start, additions = _run_additions(sources, lower, upper, d, b, stock, threshold=threshold)
+        for new, z, deployed in group:
+            added = min(deployed, len(additions))
+            key = (additions[added - 1][1] if added else start, new, deployed)
+            if best is None or key < best[0]:
+                best = (key, z, new, d, b, moves, additions[:added], phases)
 
-    _, z, new, engine, log, phases, added = best
-    docks, bikes = engine.state()
+    _, z, new, docks, bikes, moves, additions, phases = best
+    # replayed without the depot's stock: its dock count is not reported
+    for move, _ in additions:
+        _shift(docks, bikes, move, 1)
     station_costs = tuple(sources[s].cost(docks[s], bikes[s]) for s in range(n))
     result = OptimizeResult(
-        allocation=Allocation(docks[:n], bikes[:n]),
+        allocation=Allocation(tuple(docks[:n]), tuple(bikes[:n])),
         objective=sum(station_costs),
         initial_objective=initial,
-        log=tuple(LogEntry(it, move, value) for it, (move, value) in enumerate(log, start=1)),
+        log=tuple(LogEntry(it, move, value) for it, (move, value) in enumerate(moves + additions, start=1)),
         station_costs=station_costs,
         depot_bikes=bikes[n],
-        deployed_docks=added,
+        deployed_docks=len(additions),
         phases=phases,
     )
     return result, z, new
@@ -619,8 +629,9 @@ def optimize_tradeoff(
     With unit cost ``k`` per new dock and a joint budget ``M``, buying
     ``new`` docks leaves ``M - k*new`` moves; each candidate count warm
     starts from the shared greedy move trajectory, then deploys purchases
-    one best station at a time.  Returns the best candidate;
-    ``constraints.max_moves`` plays no part.
+    one best station at a time.  Candidates with the same move budget share
+    one deployment run and each takes its prefix of it.  Returns the best
+    candidate; ``constraints.max_moves`` plays no part.
     """
     if constraints.tradeoff is None:
         raise ValidationError("constraints.tradeoff must be set for optimize_tradeoff")

@@ -182,7 +182,7 @@ def _parse_timestamp(raw: str) -> float:
     if ":" not in raw and "-" not in raw[1:]:
         try:
             return float(int(raw))
-        except ValueError:
+        except (ValueError, OverflowError):  # overflow: an integer too large for a float
             pass
     try:
         stamp = datetime.fromisoformat(raw)

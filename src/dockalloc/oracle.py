@@ -516,9 +516,11 @@ def random_instance(
     budget_max: int = 10,
     max_atoms: int = 3,
     max_len: int = 5,
+    surplus: int = 0,
 ) -> InstanceSpec:
     """Small random instance with dyadic finite profiles and random box
-    bounds; the baseline uses the full dock budget."""
+    bounds.  The baseline uses the whole dock budget but ``surplus`` spare
+    docks, clipped to what the upper bounds can take."""
     n = int(rng.integers(2, n_max + 1))
     dock_budget = int(rng.integers(n, budget_max + 1))
     bike_budget = int(rng.integers(0, dock_budget + 1))
@@ -541,7 +543,8 @@ def random_instance(
                 baseline_bikes=b,
             )
         )
-    return InstanceSpec(tuple(stations), bike_budget, dock_budget)
+    spare = min(surplus, sum(s.upper for s in stations) - dock_budget)
+    return InstanceSpec(tuple(stations), bike_budget, dock_budget + spare)
 
 
 def synthetic_scenario(n_stations: int = 50, seed: int = 2026, max_moves: int = 150) -> InstanceSpec:

@@ -7,12 +7,15 @@ report lists every check with details; any failed check is a violation.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .allocator import optimize
+from .allocator import optimize, optimize_tradeoff
 from .errors import ValidationError
 from .oracle import (
     brute_force_optimum,
+    brute_force_tradeoff,
     counterexample_fixtures,
     feasible_within_moves,
     posterior_replay_path,
@@ -91,6 +94,34 @@ def _check_prefix_optimality(seed: int, instances: int) -> dict:
         "name": "prefix_optimality_vs_enumeration",
         "passed": not failures,
         "details": failures or f"{checked} (instance, move-cap) pairs match exactly",
+    }
+
+
+def _check_surplus_tradeoff(seed: int, instances: int) -> dict:
+    failures = []
+    checked = 0
+    for case in range(instances):
+        rng = _rng(seed, 7000 + case)
+        surplus = int(rng.integers(1, 6))
+        spec = random_instance(rng, n_max=4, budget_max=8, surplus=surplus)
+        tables = spec.tables()
+        exact = brute_force_optimum(spec)
+        for z in range(6):
+            capped = optimize(replace(spec.constraints(), max_moves=z), tables, improvement_threshold=0.0)
+            best = exact[min(z, max(exact))][1]
+            checked += 1
+            if capped.objective != best:
+                failures.append(f"case {case}: {z} moves with surplus {surplus} gives {capped.objective}, enumeration gives {best}")
+        traded = replace(spec, tradeoff=(int(rng.integers(1, 4)), int(rng.integers(0, 8))))
+        trade = optimize_tradeoff(traded.constraints(), tables, improvement_threshold=0.0)
+        best = brute_force_tradeoff(traded)[3]
+        checked += 1
+        if trade.result.objective != best:
+            failures.append(f"case {case}: trade-off {traded.tradeoff} gives {trade.result.objective}, enumeration gives {best}")
+    return {
+        "name": "surplus_tradeoff_vs_enumeration",
+        "passed": not failures,
+        "details": failures or f"{checked} (surplus instance, move cap or trade-off) pairs match exactly",
     }
 
 
@@ -207,6 +238,7 @@ def run_verification(seed: int = 0, instances: int = 25, trials: int = 20000) ->
         _check_exchange_trap(),
         _check_midpoint_gap(),
         _check_prefix_optimality(seed, instances),
+        _check_surplus_tradeoff(seed, instances),
         _check_solver_agreement(seed, max(5, instances // 3)),
         _check_multimodularity(seed, instances),
         _check_simulation_agreement(seed, cases=max(5, instances // 3), trials=trials),

@@ -1,14 +1,19 @@
 import dataclasses
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from dockalloc.allocator import (
     Allocation,
     Constraints,
+    DEFAULT_IMPROVEMENT_THRESHOLD,
     KIND_RANK,
+    LogEntry,
+    OptimizeResult,
     _Descent,
     _extended_problem,
+    _unit_descent,
     best_move,
     bike_optimal,
     dock_move_distance,
@@ -23,6 +28,7 @@ from dockalloc.oracle import (
     counterexample_fixtures,
     random_instance,
 )
+from dockalloc.scaling import PhasePlan, _scaled_descent, optimize_scaled
 from dockalloc.udf import CostTable, FiniteProfile, cost_table_from_finite
 
 from conftest import philox
@@ -408,6 +414,104 @@ class TestTradeoff:
         spec, _ = trap()
         with pytest.raises(ValidationError):
             optimize_tradeoff(spec.constraints(), spec.tables())
+
+
+# The sweep as it was before one depot run served every candidate of a move
+# budget: each (new, deployed) candidate reruns the surplus additions from
+# scratch.  The reference the sweep must agree with.
+def reference_sweep(constraints, tables, descend, threshold, tradeoff=None):
+    n = len(tables)
+    sources, lower, upper, caps = _extended_problem(constraints, tables)
+    extra = constraints.dock_budget - sum(constraints.baseline_capacities)
+    headroom = sum(constraints.upper) - sum(constraints.baseline_capacities)
+    if tradeoff is not None:
+        unit_cost, joint = tradeoff
+        purchases = range(joint // unit_cost + 1)
+    else:
+        unit_cost, joint = 0, constraints.max_moves
+        purchases = range(1)
+    if joint is None:
+        candidates = [(0, None, extra, None)]
+    else:
+        candidates = []
+        for new in purchases:
+            z = joint - unit_cost * new
+            allowance = 2 * z + new
+            for deployed in range(min(extra + new, headroom, allowance) + 1):
+                candidates.append((new, z, deployed, (allowance - deployed) // 2))
+
+    bikes = list(constraints.baseline_bikes) + [constraints.bike_budget - sum(constraints.baseline_bikes)]
+    docks = [c - b for c, b in zip(caps, bikes)]
+    initial, reach = descend(sources, lower, upper, docks, bikes, threshold, joint)
+    reached = {}
+    best = None
+    for new, z, deployed, budget in candidates:
+        if budget not in reached:
+            reached[budget] = reach(budget)
+        d, b, moves, phases = reached[budget]
+        stocked, room = list(d), list(upper)
+        stocked[n] += deployed
+        room[n] += deployed
+        engine = _Descent(sources, lower, room, stocked, b, threshold=threshold)
+        additions = engine.run(max_iterations=deployed, from_station=n)
+        key = (engine.objective, new, deployed)
+        if best is None or key < best[0]:
+            best = (key, z, new, engine, moves + additions, phases, len(additions))
+
+    _, z, new, engine, log, phases, added = best
+    docks, bikes = tuple(engine.d), tuple(engine.b)
+    station_costs = tuple(sources[s].cost(docks[s], bikes[s]) for s in range(n))
+    result = OptimizeResult(
+        allocation=Allocation(docks[:n], bikes[:n]),
+        objective=sum(station_costs),
+        initial_objective=initial,
+        log=tuple(LogEntry(it, move, value) for it, (move, value) in enumerate(log, start=1)),
+        station_costs=station_costs,
+        depot_bikes=bikes[n],
+        deployed_docks=added,
+        phases=phases,
+    )
+    return result, z, new
+
+
+class TestSweepMatchesPerCandidateReference:
+    """One depot run per move budget, read off per candidate, returns what
+    rerunning the additions for every candidate returned: every field."""
+
+    def test_optimize_and_scaled_on_surplus_instances(self):
+        for case in range(40):
+            rng = philox(97, case)
+            surplus = int(rng.integers(0, 7))
+            spec = random_instance(rng, n_max=4, budget_max=8, surplus=surplus)
+            tables = spec.tables()
+            exact = brute_force_optimum(spec)
+            for z in (None, 0, 1, 2, 3, 5):
+                constraints = dataclasses.replace(spec.constraints(), max_moves=z)
+                for threshold in (0.0, DEFAULT_IMPROVEMENT_THRESHOLD):
+                    result = optimize(constraints, tables, improvement_threshold=threshold)
+                    assert result == reference_sweep(constraints, tables, _unit_descent, threshold)[0], (case, z)
+                    for plan in (PhasePlan.hybrid(), PhasePlan.powers_of_two(spec.dock_budget)):
+                        scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=threshold)
+                        descend = partial(_scaled_descent, plan)
+                        assert scaled == reference_sweep(constraints, tables, descend, threshold)[0], (case, z)
+                result = optimize(constraints, tables, improvement_threshold=0.0)
+                assert result.objective == exact[max(exact) if z is None else min(z, max(exact))][1], (case, z)
+
+    def test_tradeoff_on_surplus_instances(self):
+        for case in range(40):
+            rng = philox(98, case)
+            surplus = int(rng.integers(0, 7))
+            spec = random_instance(rng, n_max=3, budget_max=7, surplus=surplus)
+            tables = spec.tables()
+            for unit_cost, joint in ((1, 0), (1, 3), (2, 5), (3, 7), (int(rng.integers(1, 4)), int(rng.integers(0, 9)))):
+                constraints = dataclasses.replace(spec.constraints(), tradeoff=(unit_cost, joint))
+                for threshold in (0.0, DEFAULT_IMPROVEMENT_THRESHOLD):
+                    trade = optimize_tradeoff(constraints, tables, improvement_threshold=threshold)
+                    result, z, new = reference_sweep(constraints, tables, _unit_descent, threshold, (unit_cost, joint))
+                    assert (trade.result, trade.chosen_moves, trade.chosen_new_docks) == (result, z, new), case
+                trade = optimize_tradeoff(constraints, tables, improvement_threshold=0.0)
+                exact = brute_force_tradeoff(dataclasses.replace(spec, tradeoff=(unit_cost, joint)))[3]
+                assert trade.result.objective == exact, (case, unit_cost, joint)
 
 
 class TestConstraints:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -53,6 +54,36 @@ class TestOptimizeCommand:
         run("optimize", "--instance", trap_instance, "--out", out2)
         for name in ("allocation.json", "moves.csv", "curve.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_surplus_tradeoff_and_capped_runs_are_pinned(self, tmp_path):
+        # the plans of the sweep that reran the surplus additions per candidate
+        spec = synthetic_scenario(n_stations=8, seed=5, max_moves=None)
+        path = tmp_path / "surplus.json"
+        path.write_text(json.dumps(instance_to_json(dataclasses.replace(spec, dock_budget=spec.dock_budget + 6))))
+        pinned = {
+            ("--tradeoff", "1,8"): {
+                "objective": 496.45691595420465,
+                "moves": 11,
+                "deployed_docks": 11,
+                "tradeoff": {"chosen_moves": 3, "chosen_new_docks": 5},
+            },
+            ("--max-moves", "6"): {
+                "objective": 500.7914332535589,
+                "moves": 9,
+                "deployed_docks": 6,
+                "tradeoff": None,
+            },
+        }
+        for flags, expected in pinned.items():
+            outs = [tmp_path / f"{flags[0].lstrip('-')}-{rerun}" for rerun in (1, 2)]
+            for out in outs:
+                assert run("optimize", "--instance", path, *flags, "--out", out) == 0
+            report = read_json(outs[0] / "allocation.json")
+            # the float to 1e-12: another numpy may sum the day costs in another order
+            assert report["objective"] == pytest.approx(expected.pop("objective"), rel=1e-12)
+            assert {key: report[key] for key in expected} == expected
+            for name in ("allocation.json", "moves.csv", "curve.csv", "stats.json"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_solver_variants_agree_on_objective(self, tmp_path, trap_instance):
         values = {}
@@ -365,7 +396,14 @@ def posterior_on_bad_days(tmp_path, period):
     return "posterior", "--days", days, "--profiles", one_interval_profiles(tmp_path, ("s",)), "--resamples", 5
 
 
+def estimate_on_huge_stamp(tmp_path):
+    trips = small_csv(tmp_path, "trips.csv", "station_id,timestamp,kind\na," + "9" * 400 + ",rental\n")
+    status = small_csv(tmp_path, "status.csv", "station_id,interval,minutes_nonempty,minutes_nonfull\na,0,30,30\n")
+    return "estimate", "--trips", trips, "--status", status, "--days", 1
+
+
 MALFORMED_INPUTS = {
+    "trips-integer-stamp-beyond-float": estimate_on_huge_stamp,
     "table-nan-entry": lambda tmp: optimize_on_bad_table(tmp, float("nan")),
     "table-text-entry": lambda tmp: optimize_on_bad_table(tmp, "x"),
     "table-infinite-entry": lambda tmp: optimize_on_bad_table(tmp, float("inf")),

@@ -141,6 +141,15 @@ class TestGenerators:
             spec.constraints().validate(len(spec.stations))
             assert sum(spec.constraints().baseline_capacities) == spec.dock_budget
 
+    def test_surplus_adds_spare_docks_within_the_box(self):
+        for case in range(20):
+            plain = random_instance(philox(113, case))
+            spec = random_instance(philox(113, case), surplus=4)
+            spec.constraints().validate(len(spec.stations))
+            assert spec.stations == plain.stations
+            headroom = sum(s.upper for s in spec.stations) - plain.dock_budget
+            assert spec.dock_budget == plain.dock_budget + min(4, headroom)
+
     def test_synthetic_scenario_is_deterministic(self):
         a = synthetic_scenario(n_stations=5, seed=9)
         b = synthetic_scenario(n_stations=5, seed=9)
