@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -115,6 +116,13 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _coordinate(value, what: str):
+    """An optional map coordinate: absent, or a finite number."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
 def _load_stations(path) -> list[dict]:
     rows = row_list(read_json(path, "stations"), "stations", "stations")
     stations = []
@@ -128,8 +136,8 @@ def _load_stations(path) -> list[dict]:
                     "current_bikes": whole_number(row["current_bikes"], "current_bikes"),
                     "l": whole_number(row["l"], "l"),
                     "u": whole_number(row["u"], "u"),
-                    "lat": row.get("lat"),
-                    "lon": row.get("lon"),
+                    "lat": _coordinate(row.get("lat"), "lat"),
+                    "lon": _coordinate(row.get("lon"), "lon"),
                 }
             )
         except (KeyError, TypeError, ValueError) as exc:

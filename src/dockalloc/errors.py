@@ -31,7 +31,10 @@ class InfeasibleError(RuntimeError):
 
 def whole_number(value, what: str) -> int:
     """``value`` as an ``int`` if it is a finite whole number (or a string of
-    one), else a ``ValidationError``: a loader never truncates 3.7 to 3."""
+    one), else a ``ValidationError``: a loader never truncates 3.7 to 3 nor
+    reads JSON ``true`` as 1."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{what} must be a whole number, got {value}")
     if isinstance(value, float):
         if not value.is_integer():  # also False for NaN and infinities
             raise ValidationError(f"{what} must be a whole number, got {value}")

@@ -32,13 +32,37 @@ class DayChain:
     ergodic: bool  # False when the stationary solve was degenerate
 
 
+def _state_reduction(rho: np.ndarray) -> np.ndarray | None:
+    """Stationary distribution by the Grassmann-Taksar-Heyman state
+    reduction: censor the chain on ever fewer states, taking each pivot
+    ``1 - rho[k, k]`` as the sum of the row's other entries, so no step
+    subtracts.  ``None`` at a zero pivot, where state k cannot reach any
+    state below it, so the chain is reducible."""
+    a = rho.copy()
+    m = a.shape[0]
+    for k in range(m - 1, 0, -1):
+        pivot = a[k, :k].sum()
+        if not pivot > 0.0:
+            return None
+        a[:k, k] /= pivot
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(m)
+    pi[0] = 1.0
+    for k in range(1, m):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi
+
+
 def stationary(rho: np.ndarray) -> tuple[np.ndarray, bool]:
     """Stationary distribution of a row-stochastic matrix.
 
-    Solves the linear system directly when the solution is unique.  If the
-    chain is degenerate (stationary distribution not unique), returns the
-    fixed point of power iteration damped toward the uniform distribution
-    and flags the result non-ergodic.
+    When the solution is unique, reduces the chain state by state (see
+    ``_state_reduction``), which keeps full relative accuracy even on
+    nearly decomposable chains; a chain whose reduction meets a zero pivot
+    (one with transient states) goes to a least-squares solve instead.  If
+    the chain is degenerate (stationary distribution not unique), returns
+    the fixed point of power iteration damped toward the uniform
+    distribution and flags the result non-ergodic.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -58,10 +82,12 @@ def stationary(rho: np.ndarray) -> tuple[np.ndarray, bool]:
     nullity = int(np.sum(singular_values < cutoff))
 
     if nullity <= 1:
-        system = np.vstack([a, np.ones((1, m))])
-        rhs = np.zeros(m + 1)
-        rhs[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+        pi = _state_reduction(rho)
+        if pi is None:
+            system = np.vstack([a, np.ones((1, m))])
+            rhs = np.zeros(m + 1)
+            rhs[-1] = 1.0
+            pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         pi = np.clip(pi, 0.0, None)
         pi /= pi.sum()
         if np.max(np.abs(pi @ rho - pi)) <= FIXED_POINT_TOL:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .allocator import Allocation, Constraints, dock_move_distance
 from .demand import PoissonProfile
-from .errors import ValidationError, read_json, whole_number
+from .errors import CapacityLimitError, ValidationError, read_json, whole_number
 from .posterior import (
     ImpactEstimate,
     ObservedDay,
@@ -29,6 +29,7 @@ from .posterior import (
     rebalancing_adjustment,
 )
 from .udf import (
+    DEFAULT_CAPACITY_LIMIT,
     CostSource,
     FiniteProfile,
     Number,
@@ -154,15 +155,22 @@ def instance_from_json(doc: dict) -> InstanceSpec:
             for s in doc["stations"]
         )
         tradeoff = doc.get("tradeoff")
-        return InstanceSpec(
+        spec = InstanceSpec(
             stations=stations,
             bike_budget=whole_number(doc["bike_budget"], "bike_budget"),
             dock_budget=whole_number(doc["dock_budget"], "dock_budget"),
             max_moves=None if doc.get("max_moves") is None else whole_number(doc["max_moves"], "max_moves"),
             tradeoff=None if tradeoff is None else (whole_number(tradeoff[0], "k"), whole_number(tradeoff[1], "M")),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ValidationError(f"malformed instance document: {exc}") from exc
+    ids = [s.id for s in spec.stations]
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"duplicate station id {next(i for i in ids if ids.count(i) > 1)!r}")
+    for s in spec.stations:
+        if s.upper > DEFAULT_CAPACITY_LIMIT:
+            raise CapacityLimitError(f"station {s.id!r}: upper bound {s.upper} exceeds the limit {DEFAULT_CAPACITY_LIMIT}")
+    return spec
 
 
 def save_instance(path: str | Path, spec: InstanceSpec) -> None:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .demand import PoissonProfile
 from .errors import ValidationError, read_json, reading, row_list, whole_number
+from .udf import DEFAULT_CAPACITY_LIMIT
 
 RULES = ("same_bikes", "proportional")
 REBALANCING_MODES = ("none", "strict", "optimistic")
@@ -56,6 +57,8 @@ class ObservedDay:
     def validate(self) -> None:
         if self.capacity_before < 0 or self.capacity_after < 0:
             raise ValidationError(f"day at {self.station_id!r}: negative capacity")
+        if max(self.capacity_before, self.capacity_after) > DEFAULT_CAPACITY_LIMIT:
+            raise ValidationError(f"day at {self.station_id!r}: capacity above the limit {DEFAULT_CAPACITY_LIMIT}")
         if not 0 <= self.bikes_at_open <= self.capacity_after:
             raise ValidationError(
                 f"day at {self.station_id!r}: bikes_at_open {self.bikes_at_open} outside 0..{self.capacity_after}"
@@ -69,9 +72,16 @@ class ObservedDay:
             for interval, minutes in periods:
                 if interval < 0 or not 0 <= minutes < math.inf:
                     raise ValidationError(f"day at {self.station_id!r}: bad period ({interval}, {minutes})")
-        times = [t for t, _ in self.rebalancing_events]
-        if times != sorted(times):
-            raise ValidationError(f"day at {self.station_id!r}: rebalancing events must be time-ordered")
+        for what, times in (
+            ("event timestamps", list(self.event_timestamps or ())),
+            ("rebalancing events", [t for t, _ in self.rebalancing_events]),
+        ):
+            if not all(math.isfinite(t) for t in times) or times != sorted(times):
+                raise ValidationError(f"day at {self.station_id!r}: {what} must be finite and time-ordered")
+        if any(abs(count) > DEFAULT_CAPACITY_LIMIT for _, count in self.rebalancing_events):
+            raise ValidationError(
+                f"day at {self.station_id!r}: a crew moves at most {DEFAULT_CAPACITY_LIMIT} bikes at once"
+            )
 
 
 def censored_subsequence(events: Sequence[int], d: int, b: int) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -252,11 +253,11 @@ class LazyDailyCost:
                     continue
                 pmfs, cdfs = _poisson_jumps(rate * p.minutes_per_interval)
                 cdf = np.array(cdfs)
-                rows = np.empty((len(cdfs), 4, 1))
-                rows[:, 0, 0] = lam / rate
-                rows[:, 1, 0] = mu / rate
-                rows[:, 2, 0] = np.array(pmfs) / cdf[-1]
-                rows[:, 3, 0] = (1.0 - cdf) / rate
+                rows = np.empty((len(cdfs), 4))
+                rows[:, 0] = lam / rate
+                rows[:, 1] = mu / rate
+                rows[:, 2] = np.array(pmfs) / cdf[-1]
+                rows[:, 3] = (1.0 - cdf) / rate
                 jumps.append((mu, lam, rows[::-1]))
             self._jumps = jumps
         return self._jumps
@@ -272,10 +273,12 @@ class LazyDailyCost:
         Horner pass over the jump counts, last jump first:
         ``r <- p_up r[up] + p_down r[dn] + w_k v + o_k bnd``, where ``bnd``
         holds the failure rates at each capacity's empty and full ends.
-        The transition columns start as each capacity's identity and take
-        the same update without the ``o_k bnd`` term, ending as
-        ``T_1 ... T_K``.  Every entry sees the same operations whatever
-        else is in the block.
+        Each jump is one gather into ``terms`` and one BLAS dot with the
+        jump's row.  The transition columns start as each capacity's
+        identity and take the same update without the ``o_k bnd`` term,
+        ending as ``T_1 ... T_K``.  BLAS may round an entry by its place in
+        the block, so a capacity's vectors are a function of (profile,
+        capacity, ``capacity_limit``), which fix its aligned block.
         """
         sizes = np.array(capacities) + 1
         lows = np.cumsum(sizes) - sizes
@@ -288,16 +291,14 @@ class LazyDailyCost:
         neighbours = np.concatenate([up, dn])
         terms = np.empty((4, n))  # rows r[up], r[dn], v, bnd
         shifted = terms[:2].reshape(-1)
-        scaled = np.empty((4, n))
         r = np.zeros(n)
-        take, multiply, add = r.take, np.multiply, np.add.reduce
+        take, dot = r.take, np.dot
         if transition:
             rho = np.zeros((n, int(sizes.max())))  # column y: chance of ending with y bikes
             rho[np.arange(n), np.arange(n) - np.repeat(lows, sizes)] = 1.0
             rho_flat = rho.reshape(-1)
             rho_terms = np.empty((3, rho.size))  # rows rho[up], rho[dn], previous rho
             rho_shifted = rho_terms[:2].reshape(2 * n, -1)
-            rho_scaled = np.empty_like(rho_terms)
         for mu, lam, rows in reversed(self._jump_weights()):
             terms[2] = r
             terms[3] = 0.0
@@ -309,12 +310,10 @@ class LazyDailyCost:
                 rho.fill(0.0)
             for row in rows:
                 take(neighbours, None, shifted, "wrap")  # in range: wrap only skips the bounds check
-                multiply(terms, row, scaled)
-                add(scaled, 0, None, r)
+                dot(row, terms, r)
                 if transition:
                     rho.take(neighbours, 0, rho_shifted, "wrap")
-                    multiply(rho_terms, row[:3], rho_scaled)
-                    add(rho_scaled, 0, None, rho_flat)
+                    dot(row[:3], rho_terms, rho_flat)
         rhos = [rho[lo : lo + m, :m] for lo, m in zip(lows, sizes)] if transition else []
         return np.split(r, lows[1:]), rhos
 
@@ -436,7 +435,13 @@ def _num_to_json(v: Number):
 
 def _num_from_json(v) -> Number:
     if isinstance(v, str):
-        return Fraction(v)
+        # Fraction would build 10**exponent, and it reads "1e1_000" as 1e1000
+        if re.search(r"[eE][+-]?0*\d{4}", v.replace("_", "")):
+            raise ValidationError(f"number {v!r} has an exponent beyond 999")
+        try:
+            return Fraction(v)
+        except ZeroDivisionError as exc:
+            raise ValidationError(f"number {v!r} divides by zero") from exc
     return float(v)
 
 

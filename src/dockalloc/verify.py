@@ -13,10 +13,12 @@ import numpy as np
 
 from .allocator import optimize, optimize_tradeoff
 from .errors import ValidationError
+from .longrun import LongrunCost, stationary
 from .oracle import (
     brute_force_optimum,
     brute_force_tradeoff,
     counterexample_fixtures,
+    day_matrix_path,
     feasible_within_moves,
     posterior_replay_path,
     random_decreased_day,
@@ -193,6 +195,55 @@ def _check_simulation_agreement(seed: int, cases: int, trials: int) -> dict:
     }
 
 
+def _kernel_cases(seed: int) -> list[tuple[PoissonProfile, list[int]]]:
+    """Random Poisson profiles with the capacities to check: ordinary ones,
+    one sparse profile (rates up to 3e-6 per minute in all 48 intervals,
+    a nearly decomposable day chain) and one interval with about 5,000
+    expected arrivals."""
+    def random_profile(name, rng, intervals, top):
+        rates = [tuple(float(r) for r in rng.uniform(0, top, intervals)) for _ in range(2)]
+        return PoissonProfile(name, *rates, minutes_per_interval=30.0)
+
+    cases = []
+    for case in range(4):
+        rng = _rng(seed, 8000 + case)
+        profile = random_profile(f"kernel{case}", rng, int(rng.integers(1, 9)), 0.3)
+        cases.append((profile, [int(c) for c in rng.integers(0, 30, 3)]))
+    rng = _rng(seed, 8100)
+    cases.append((random_profile("sparse", rng, 48, 3e-6), [int(c) for c in rng.integers(1, 46, 3)]))
+    rng = _rng(seed, 8200)
+    rate = rng.uniform(4900, 5100) / 30.0
+    share = float(rng.uniform(0.3, 0.7))
+    heavy = PoissonProfile("heavy", (rate * share,), (rate * (1 - share),), minutes_per_interval=30.0)
+    cases.append((heavy, [int(rng.integers(0, 12))]))
+    return cases
+
+
+def _check_kernel_vs_matrix_path(seed: int) -> dict:
+    failures = []
+    checked = 0
+    for profile, capacities in _kernel_cases(seed):
+        source = LongrunCost(profile)
+        for capacity in capacities:
+            cost, rho = day_matrix_path(profile, capacity)
+            transition = source.daily.day_transition(capacity)
+            cost_gap = np.max(np.abs(source.daily.cost_vector(capacity) - cost) / np.maximum(1.0, np.abs(cost)))
+            rho_gap = np.max(np.abs(transition - rho))
+            expected = float(stationary(rho)[0] @ cost)
+            longrun_gap = abs(source.cost(capacity, 0) - expected) / expected
+            checked += 1
+            if max(cost_gap, rho_gap, longrun_gap) > 1e-12:
+                failures.append(
+                    f"{profile.station_id} capacity {capacity}: cost {cost_gap:.3g}, "
+                    f"transition {rho_gap:.3g}, long-run {longrun_gap:.3g} from the matrix path"
+                )
+    return {
+        "name": "kernel_vs_matrix_path",
+        "passed": not failures,
+        "details": failures or f"{checked} (profile, capacity) pairs within 1e-12 of the dense matrix chain",
+    }
+
+
 def _check_censoring_identity(seed: int, samples: int) -> dict:
     rng = _rng(seed, 5000)
     failures = 0
@@ -242,6 +293,7 @@ def run_verification(seed: int = 0, instances: int = 25, trials: int = 20000) ->
         _check_solver_agreement(seed, max(5, instances // 3)),
         _check_multimodularity(seed, instances),
         _check_simulation_agreement(seed, cases=max(5, instances // 3), trials=trials),
+        _check_kernel_vs_matrix_path(seed),
         _check_censoring_identity(seed, samples=2000),
         _check_posterior_replay(seed, days=60, resamples=50),
     ]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from conftest import philox
 
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
-from dockalloc.longrun import LongrunCost, day_chain, stationary
+from dockalloc.longrun import LongrunCost, _state_reduction, day_chain, stationary
 from dockalloc.oracle import day_matrix_path, synthetic_scenario
 from dockalloc.udf import FiniteProfile, LazyDailyCost, check_multimodular, interval_cost_poisson
 
@@ -68,6 +69,22 @@ class TestStationary:
             assert np.allclose(pi2, pi, atol=1e-7)
 
 
+    def test_transient_states_fall_back_to_least_squares(self):
+        # state 0 is transient: the reduction meets a zero pivot at once
+        rho = np.array([[0.0, 0.6, 0.4], [0.0, 0.5, 0.5], [0.0, 0.2, 0.8]])
+        assert _state_reduction(rho) is None
+        pi, ergodic = stationary(rho)
+        assert ergodic
+        assert np.allclose(pi, [0.0, 2 / 7, 5 / 7], atol=1e-12)
+
+    def test_state_reduction_keeps_relative_accuracy(self):
+        # two states that swap with chance 1e-14: pi = (1/3, 2/3) whatever eps is
+        eps = 1e-14
+        rho = np.array([[1 - 2 * eps, 2 * eps], [eps, 1 - eps]])
+        pi = _state_reduction(rho)
+        assert pi / pi.sum() == pytest.approx([1 / 3, 2 / 3], rel=1e-15)
+
+
 class TestLongrunCost:
     def test_rentals_only_sticks_at_demand(self):
         p = FiniteProfile((((-1, -1, -1), 1.0),))
@@ -117,6 +134,22 @@ class TestLongrunCost:
                 cost, rho = day_matrix_path(station.profile, capacity)
                 expected = float(stationary(rho)[0] @ cost)
                 assert abs(source.cost(capacity, 0) - expected) <= 1e-12 * max(1.0, expected)
+
+    @pytest.mark.parametrize("kind", ["flat", "random"])
+    def test_sparse_profiles_match_matrix_chain(self, kind):
+        # nearly decomposable day chains: the stationary law must not amplify
+        # the last-bit differences between the kernel's and the matrix chain's rho
+        if kind == "flat":
+            p = PoissonProfile("flat", (1e-9,) * 48, (1e-9,) * 48)
+        else:
+            rng = philox(10, 3)
+            p = PoissonProfile("random", tuple(rng.uniform(0, 3e-6, 48).tolist()), tuple(rng.uniform(0, 3e-6, 48).tolist()))
+        source = LongrunCost(p)
+        for capacity in range(1, 46):
+            cost, rho = day_matrix_path(p, capacity)
+            expected = float(stationary(rho)[0] @ cost)
+            assert abs(source.cost(capacity, 0) - expected) <= 1e-12 * expected, capacity
+            assert source.chain(capacity).ergodic
 
     def test_chain_exposed_with_flags(self):
         chain = day_chain(day_transition(FiniteProfile(()), 3))
@@ -169,3 +202,14 @@ class TestBuilds:
             source.cost(5 - b, b)
         source.chain(5)
         assert builds == [(5, True)]
+
+
+class TestVerifyKernelCheck:
+    def test_least_squares_stationary_fails_on_the_sparse_profile(self, monkeypatch):
+        from dockalloc import longrun, verify
+
+        monkeypatch.setattr(longrun, "_state_reduction", lambda rho: None)
+        report = verify._check_kernel_vs_matrix_path(0)
+        assert report["name"] == "kernel_vs_matrix_path"
+        assert not report["passed"]
+        assert all(line.startswith("sparse ") for line in report["details"])

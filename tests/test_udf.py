@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,51 @@ class TestVectorKernel:
             for capacity in range(0, 46, 3):
                 by_transition.day_transition(capacity)
                 assert np.array_equal(by_transition.cost_vector(capacity), by_cost.cost_vector(capacity))
+
+    def test_capacity_priced_alone_agrees_with_its_block(self):
+        # BLAS may round an entry by where it sits in the vector, so the last
+        # bits may differ; the block's answer is the one every caller sees
+        for station in synthetic_scenario(10).stations:
+            daily = LazyDailyCost(station.profile)
+            block = list(range(16, 24))
+            costs, rhos = daily._price_block(block, True)
+            for capacity, cost, rho in zip(block, costs, rhos):
+                (alone_cost,), (alone_rho,) = daily._price_block([capacity], True)
+                assert np.max(np.abs(alone_cost - cost) / np.maximum(1.0, np.abs(cost))) <= 1e-14
+                assert np.max(np.abs(alone_rho - rho)) <= 1e-14
+                assert np.array_equal(daily.cost_vector(capacity), cost)
+
+    def test_blocks_identical_across_blas_thread_counts(self):
+        # OpenBLAS caps OPENBLAS_NUM_THREADS at the core count; the runtime
+        # setter of numpy's bundled OpenBLAS, where there is one, does not, so
+        # a small host still splits each gemv as many ways as asked.
+        script = (
+            "import ctypes, glob, hashlib, os, sys\n"
+            "import numpy\n"
+            "libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, 'numpy.libs', '*openblas*'))\n"
+            "setter = getattr(ctypes.CDLL(libs[0]), 'scipy_openblas_set_num_threads64_', None) if libs else None\n"
+            "if setter is not None:\n"
+            "    setter(int(os.environ['OPENBLAS_NUM_THREADS']))\n"
+            "from dockalloc.oracle import synthetic_scenario\n"
+            "from dockalloc.udf import LazyDailyCost\n"
+            "digest = hashlib.sha256()\n"
+            "for station in synthetic_scenario(4).stations:\n"
+            "    daily = LazyDailyCost(station.profile)\n"
+            "    for capacity in range(0, 48, 8):\n"
+            "        daily.day_transition(capacity)\n"
+            "    for capacity in range(48):\n"
+            "        digest.update(daily.cost_vector(capacity).tobytes())\n"
+            "        digest.update(daily.day_transition(capacity).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = {}
+        for threads in ("1", "2", "3", "4", "5"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests[threads] = proc.stdout.strip()
+        assert len(set(digests.values())) == 1, digests
 
     def test_day_transition_keeps_the_stored_cost(self):
         daily = LazyDailyCost(synthetic_scenario(6).stations[0].profile)
