@@ -31,7 +31,7 @@ from .allocator import Constraints, LogEntry, optimize, optimize_tradeoff
 from .errors import InfeasibleError, ValidationError, read_json, row_list, whole_number
 from .longrun import LongrunCost
 from .scaling import PhasePlan, optimize_scaled
-from .udf import LazyDailyCost, load_cost_table, save_cost_table
+from .udf import LazyDailyCost, check_multimodular, load_cost_table, save_cost_table
 
 
 def _thread_count() -> int:
@@ -142,11 +142,15 @@ def _load_stations(path) -> list[dict]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed station row {row}: {exc}") from exc
-        if stations[-1]["current_bikes"] > stations[-1]["current_docks"]:
-            raise ValidationError(f"station {stations[-1]['id']!r} has more bikes than docks")
-        if stations[-1]["id"] in seen:
-            raise ValidationError(f"duplicate station id {stations[-1]['id']!r}")
-        seen.add(stations[-1]["id"])
+        st = stations[-1]
+        for key in ("current_docks", "current_bikes", "l", "u"):
+            if st[key] < 0:
+                raise ValidationError(f"station {st['id']!r}: {key} must be non-negative, got {st[key]}")
+        if st["current_bikes"] > st["current_docks"]:
+            raise ValidationError(f"station {st['id']!r} has more bikes than docks")
+        if st["id"] in seen:
+            raise ValidationError(f"duplicate station id {st['id']!r}")
+        seen.add(st["id"])
     return stations
 
 
@@ -233,6 +237,13 @@ def _problem_from_args(args):
         if missing:
             raise ValidationError(f"no cost table for stations {missing}")
         sources = [by_id[st["id"]] for st in stations]
+        for table in sources:
+            violations = check_multimodular(table)
+            if violations:
+                raise ValidationError(
+                    f"cost table {table.station_id!r} is not multimodular, so the descent cannot solve it:"
+                    f" {violations[0]} ({len(violations)} violations)"
+                )
     elif args.profiles:
         _, profiles = demand_mod.load_profiles(args.profiles)
         by_id = {p.station_id: p for p in profiles}

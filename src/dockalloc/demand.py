@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import ValidationError, read_json, reading
+from .errors import ValidationError, read_json, reading, whole_number
 
 RENTAL = "rental"
 RETURN = "return"
@@ -263,7 +263,7 @@ def profiles_from_json(doc: dict) -> tuple[Horizon, list[PoissonProfile]]:
     try:
         h = doc["horizon"]
         horizon = Horizon(
-            intervals=int(h["intervals"]),
+            intervals=whole_number(h["intervals"], "horizon intervals"),
             minutes_per_interval=float(h["minutes_per_interval"]),
             start_hour=float(h.get("start_hour", 0.0)),
         )
@@ -274,7 +274,10 @@ def profiles_from_json(doc: dict) -> tuple[Horizon, list[PoissonProfile]]:
                 return_rates=tuple(float(r) for r in s["return_rates"]),
                 minutes_per_interval=horizon.minutes_per_interval,
                 start_hour=horizon.start_hour,
-                flags=tuple((int(f["interval"]), str(f["kind"]), str(f["flag"])) for f in s.get("flags", [])),
+                flags=tuple(
+                    (whole_number(f["interval"], "flag interval"), str(f["kind"]), str(f["flag"]))
+                    for f in s.get("flags", [])
+                ),
             )
             for s in doc["stations"]
         ]

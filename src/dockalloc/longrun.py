@@ -138,5 +138,7 @@ class LongrunCost:
         return self._by_capacity[capacity]
 
     def materialize(self, capacity: int) -> CostTable:
+        if capacity < 0:
+            raise ValidationError(f"station {self.station_id!r}: table capacity must be non-negative, got {capacity}")
         values = tuple(tuple(self.cost(s - b, b) for b in range(s + 1)) for s in range(capacity + 1))
         return CostTable(self.station_id, capacity, values, provenance="longrun")

@@ -25,7 +25,6 @@ from .posterior import (
     ImpactEstimate,
     ObservedDay,
     _decreased_impact,
-    count_stockouts_masked,
     rebalancing_adjustment,
 )
 from .udf import (
@@ -34,6 +33,7 @@ from .udf import (
     FiniteProfile,
     Number,
     cost_table_from_finite,
+    count_stockouts,
     interval_cost_poisson,
     LazyDailyCost,
     _num_from_json,
@@ -384,7 +384,7 @@ def posterior_replay_path(
 ) -> ImpactEstimate:
     """``decreased_capacity_impact`` by replaying every resample event by
     event: the filled day is rebuilt with one scalar Poisson draw per
-    censored period and counted by ``count_stockouts_masked`` under both
+    censored period and counted by ``count_stockouts`` under both
     configurations.  The reference for the posterior's segment tables."""
     return _decreased_impact(day, profile, rule, seed, resamples, rebalancing, _replay_each_resample)
 
@@ -404,7 +404,7 @@ def _replay_each_resample(events, exempt, configs, spots, lams, rng, resamples) 
             cursor = pos
         filled.extend(events[cursor:])
         mask.extend(exempt[cursor:])
-        after, before = (count_stockouts_masked(filled, c - b, b, mask) for c, b in configs)
+        after, before = (count_stockouts(filled, c - b, b, mask)[0] for c, b in configs)
         diffs[r] = after - before
     return diffs
 

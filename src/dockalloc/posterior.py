@@ -16,7 +16,6 @@ count.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 
 from .demand import PoissonProfile
 from .errors import ValidationError, read_json, reading, row_list, whole_number
-from .udf import DEFAULT_CAPACITY_LIMIT
+from .udf import DEFAULT_CAPACITY_LIMIT, bike_trajectory, count_stockouts, replay_from_every_start
 
 RULES = ("same_bikes", "proportional")
 REBALANCING_MODES = ("none", "strict", "optimistic")
@@ -87,40 +86,8 @@ class ObservedDay:
 def censored_subsequence(events: Sequence[int], d: int, b: int) -> tuple[int, ...]:
     """The events that succeed when replayed from (d, b): exactly what an
     observer at the station would record."""
-    if d < 0 or b < 0:
-        raise ValidationError(f"negative start state d={d}, b={b}")
-    kept = []
-    docks, bikes = d, b
-    for x in events:
-        if x == 1 and docks > 0:
-            docks -= 1
-            bikes += 1
-            kept.append(1)
-        elif x == -1 and bikes > 0:
-            bikes -= 1
-            docks += 1
-            kept.append(-1)
-    return tuple(kept)
-
-
-def count_stockouts_masked(events: Sequence[int], d: int, b: int, exempt: Sequence[bool]) -> int:
-    """Stockout count where exempt events still move the state on success
-    but their failures are not charged."""
-    docks, bikes, misses = d, b, 0
-    for x, skip in zip(events, exempt):
-        if x == 1:
-            if docks == 0:
-                misses += 0 if skip else 1
-            else:
-                docks -= 1
-                bikes += 1
-        else:
-            if bikes == 0:
-                misses += 0 if skip else 1
-            else:
-                bikes -= 1
-                docks += 1
-    return misses
+    counts = bike_trajectory(events, d, b)
+    return tuple(x for x, before, after in zip(events, counts, counts[1:]) if before != after)
 
 
 def resolve_bikes_before(day: ObservedDay, rule: str) -> int:
@@ -143,12 +110,13 @@ def rebalancing_adjustment(day: ObservedDay, mode: str = "strict") -> tuple[tupl
     Returns the adjusted sequence and a mask marking virtual events; the
     mask is all-False in strict mode (their failures count) and flags them
     in optimistic mode (failures forgiven).  Timestamped observations are
-    required to place the splices.
+    required to place the splices.  Mode ``none`` leaves the crews out and
+    returns the observed events with an all-False mask.
     """
-    if mode not in ("strict", "optimistic"):
+    if mode not in REBALANCING_MODES:
         raise ValidationError(f"unknown rebalancing mode {mode!r}")
     day.validate()
-    if not day.rebalancing_events:
+    if mode == "none" or not day.rebalancing_events:
         return day.observed_events, tuple(False for _ in day.observed_events)
     if day.event_timestamps is None:
         raise ValidationError(
@@ -177,14 +145,9 @@ def added_capacity_impact(day: ObservedDay, rule: str = "same_bikes", rebalancin
         raise ValidationError(
             f"day at {day.station_id!r}: capacity decreased; use decreased_capacity_impact"
         )
-    if rebalancing == "none":
-        events: tuple[int, ...] = day.observed_events
-        exempt = tuple(False for _ in events)
-    else:
-        events, exempt = rebalancing_adjustment(day, rebalancing)
+    events, exempt = rebalancing_adjustment(day, rebalancing)
     b_before = resolve_bikes_before(day, rule)
-    d_before = day.capacity_before - b_before
-    return count_stockouts_masked(events, d_before, b_before, exempt)
+    return count_stockouts(events, day.capacity_before - b_before, b_before, exempt)[0]
 
 
 @dataclass(frozen=True)
@@ -209,17 +172,7 @@ def _insertion_points(
     spliced = bool(day.rebalancing_events) and day.event_timestamps is not None
     events, virtual = rebalancing_adjustment(day, "optimistic") if spliced else (day.observed_events, ())
     capacity = day.capacity_after
-    bikes = day.bikes_at_open
-    docks = capacity - bikes
-    states = [bikes]
-    for x in events:
-        if x == 1 and docks > 0:
-            docks -= 1
-            bikes += 1
-        elif x == -1 and bikes > 0:
-            bikes -= 1
-            docks += 1
-        states.append(bikes)
+    states = bike_trajectory(events, capacity - day.bikes_at_open, day.bikes_at_open)
     out = []
     cursor = 0
     for interval, minutes, kind in sorted(periods, key=lambda p: (p[0], p[2])):
@@ -269,32 +222,26 @@ def _decreased_impact(day, profile, rule, seed, resamples, rebalancing, price) -
         )
     if resamples < 1:
         raise ValidationError(f"resamples must be >= 1, got {resamples}")
-    if rebalancing == "none":
-        events: tuple[int, ...] = day.observed_events
-        exempt = tuple(False for _ in events)
-    else:
-        events, exempt = rebalancing_adjustment(day, rebalancing)
-
+    events, exempt = rebalancing_adjustment(day, rebalancing)
     configs = ((day.capacity_after, day.bikes_at_open), (day.capacity_before, resolve_bikes_before(day, rule)))
 
     periods = [(i, m, "full") for i, m in day.full_periods] + [(i, m, "empty") for i, m in day.empty_periods]
     if not periods:
-        after, before = (count_stockouts_masked(events, c - b, b, exempt) for c, b in configs)
-        return ImpactEstimate(mean=float(after - before), stderr=0.0, resamples=1, seed=seed)
-
-    if profile is None:
+        resamples = 1  # nothing to draw: one replay is the exact answer
+    elif profile is None:
         raise ValidationError(
             f"day at {day.station_id!r} has censored periods; demand rates are required to fill them in"
         )
-    profile.validate()
-    for interval, minutes, _ in periods:
-        if interval >= profile.intervals:
-            raise ValidationError(f"period interval {interval} outside the profile horizon")
-        if minutes > profile.minutes_per_interval:
-            raise ValidationError(
-                f"day at {day.station_id!r}: a {minutes}-minute period does not fit its"
-                f" {profile.minutes_per_interval}-minute interval {interval}"
-            )
+    else:
+        profile.validate()
+        for interval, minutes, _ in periods:
+            if interval >= profile.intervals:
+                raise ValidationError(f"period interval {interval} outside the profile horizon")
+            if minutes > profile.minutes_per_interval:
+                raise ValidationError(
+                    f"day at {day.station_id!r}: a {minutes}-minute period does not fit its"
+                    f" {profile.minutes_per_interval}-minute interval {interval}"
+                )
 
     spots = _insertion_points(day, periods, rebalancing)
     lams = [
@@ -308,30 +255,15 @@ def _decreased_impact(day, profile, rule, seed, resamples, rebalancing, price) -
     return ImpactEstimate(mean=mean, stderr=stderr, resamples=resamples, seed=seed)
 
 
-def _segment_table(events: Sequence[int], exempt: Sequence[bool], capacity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Replay ``events`` from every start bike count 0..capacity at once:
-    the bike count at the end and the misses charged, both indexed by the
-    start count.  A run of ``n`` same-sign events moves the count by as much
-    as the room allows, ``k = min(room, n)``, and its last ``n - k`` events
-    fail; ``charged[k]`` counts the non-exempt ones among them."""
-    bikes = np.arange(capacity + 1)
-    misses = np.zeros(capacity + 1, dtype=np.int64)
-    for sign, run in itertools.groupby(zip(events, exempt), key=lambda event: event[0]):
-        charged = np.cumsum([0] + [not skip for _, skip in run][::-1])[::-1]
-        moved = np.minimum(capacity - bikes if sign == 1 else bikes, len(charged) - 1)
-        misses += charged[moved]
-        bikes = bikes + sign * moved
-    return bikes, misses
-
-
 def _price_by_segments(events, exempt, configs, spots, lams, rng, resamples) -> np.ndarray:
     """Every resample's miss difference in one numpy pass.  The observed
     events between two insertion points replay the same way from the same
     start count, so each such segment is tabulated once per configuration
-    and looked up for all resamples; an inserted block of ``n`` returns from
-    ``x`` bikes charges ``max(0, x + n - c)`` and leaves ``min(c, x + n)``,
-    rentals mirror it.  Row-major draws keep the scalar draw order: resample
-    by resample, spot by spot."""
+    by ``replay_from_every_start`` and looked up for all resamples; an
+    inserted block of ``n`` returns from ``x`` bikes charges
+    ``max(0, x + n - c)`` and leaves ``min(c, x + n)``, rentals mirror it.
+    Row-major draws keep the scalar draw order: resample by resample, spot
+    by spot."""
     counts = rng.poisson(np.repeat(np.asarray(lams, dtype=float)[None, :], resamples, 0))
     bounds = [0] + [pos for pos, *_ in spots] + [len(events)]
     totals = []
@@ -339,7 +271,7 @@ def _price_by_segments(events, exempt, configs, spots, lams, rng, resamples) -> 
         bikes = np.full(resamples, bikes_at_open)
         misses = np.zeros(resamples, dtype=np.int64)
         for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            end, charged = _segment_table(events[lo:hi], exempt[lo:hi], capacity)
+            end, charged = replay_from_every_start(events[lo:hi], capacity, exempt[lo:hi])
             misses += charged[bikes]
             bikes = end[bikes]
             if k < len(spots):

@@ -18,6 +18,7 @@ them for any tabulated cost.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -49,30 +50,54 @@ class SequenceState:
     stockouts: int
 
 
-def count_stockouts(events: Sequence[int], d: int, b: int) -> tuple[int, SequenceState]:
-    """Feed ``events`` (+1 return, -1 rental) through a station starting with
-    ``d`` open docks and ``b`` bikes; return the out-of-stock count and the
-    final state.  Total function: any sequence and any non-negative start is
-    valid, and open_docks + bikes stays constant throughout."""
+def bike_trajectory(events: Sequence[int], d: int, b: int) -> list[int]:
+    """The bike count of a station that opens with ``d`` open docks and
+    ``b`` bikes, before the first of ``events`` (+1 return, -1 rental) and
+    after each.  A return needs an open dock and a rental a bike; an arrival
+    that finds none fails and leaves the count as it was."""
     if d < 0 or b < 0:
         raise ValidationError(f"negative start state d={d}, b={b}")
-    docks, bikes, misses = d, b, 0
+    counts = [b]
     for x in events:
-        if x == 1:
-            if docks == 0:
-                misses += 1
-            else:
-                docks -= 1
-                bikes += 1
-        elif x == -1:
-            if bikes == 0:
-                misses += 1
-            else:
-                bikes -= 1
-                docks += 1
-        else:
+        if x not in (1, -1):
             raise ValidationError(f"arrival events must be +1 or -1, got {x!r}")
-    return misses, SequenceState(docks, bikes, misses)
+        counts.append(min(max(counts[-1] + int(x), 0), d + b))
+    return counts
+
+
+def count_stockouts(
+    events: Sequence[int], d: int, b: int, exempt: Sequence[bool] | None = None
+) -> tuple[int, SequenceState]:
+    """Feed ``events`` through a station starting with ``d`` open docks and
+    ``b`` bikes; return the out-of-stock count and the final state.  An
+    event flagged in ``exempt`` moves the state when it succeeds, but its
+    failure is not counted.  Total function: any sequence and any
+    non-negative start is valid, and open_docks + bikes stays constant."""
+    counts = bike_trajectory(events, d, b)
+    steps = zip(counts[:-1], counts[1:], [False] * len(events) if exempt is None else exempt, strict=True)
+    misses = sum(before == after and not skip for before, after, skip in steps)
+    return misses, SequenceState(d + b - counts[-1], counts[-1], misses)
+
+
+def replay_from_every_start(
+    events: Sequence[int], capacity: int, exempt: Sequence[bool] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count_stockouts`` from every start bike count 0..capacity at once:
+    the bike count at the end and the misses charged, both indexed by the
+    start count.  A run of ``n`` same-sign events moves the count by as much
+    as the room allows, ``k = min(room, n)``, and its last ``n - k`` events
+    fail; ``charged[k]`` counts the non-exempt ones among them."""
+    bikes = np.arange(capacity + 1)
+    misses = np.zeros(capacity + 1, dtype=np.int64)
+    flags = itertools.repeat(False) if exempt is None else exempt
+    for sign, run in itertools.groupby(zip(events, flags), key=lambda event: event[0]):
+        if sign not in (1, -1):
+            raise ValidationError(f"arrival events must be +1 or -1, got {sign!r}")
+        charged = np.cumsum([0] + [not skip for _, skip in run][::-1])[::-1]
+        moved = np.minimum(capacity - bikes if sign == 1 else bikes, len(charged) - 1)
+        misses += charged[moved]
+        bikes += moved if sign == 1 else -moved
+    return bikes, misses
 
 
 @dataclass(frozen=True)
@@ -114,6 +139,22 @@ def expected_cost_finite(profile: FiniteProfile, d: int, b: int) -> Number:
             continue
         total += p * count_stockouts(events, d, b)[0]
     return total
+
+
+def _finite_day(profile: FiniteProfile, capacity: int) -> tuple[list[Number], list[tuple[Number, np.ndarray]]]:
+    """Expected misses at ``capacity`` by start count, and each atom of
+    positive probability with its end counts.  Each atom is replayed once,
+    by ``replay_from_every_start``, and its misses are summed as
+    ``expected_cost_finite`` sums them: in the probabilities' own number
+    type and in atom order."""
+    cost: list[Number] = [0] * (capacity + 1)
+    ends = []
+    for events, p in profile.atoms:
+        if p != 0:
+            end, misses = replay_from_every_start(events, capacity)
+            cost = [t + p * k for t, k in zip(cost, misses.tolist())]
+            ends.append((p, end))
+    return cost, ends
 
 
 class CostSource(Protocol):
@@ -225,8 +266,8 @@ class LazyDailyCost:
     Poisson profiles price a block of ``COST_BLOCK`` neighbouring capacities
     at once in one backward recursion on vectors (see ``_price_block``);
     the day transitions ride along in the same pass when ``day_transition``
-    asks for them.  Finite profiles replay every atom (residual mass leaves
-    the state unchanged).
+    asks for them.  Finite profiles replay every atom from every start count
+    at once (residual mass leaves the state unchanged).
     """
 
     def __init__(self, profile: PoissonProfile | FiniteProfile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
@@ -325,18 +366,14 @@ class LazyDailyCost:
                 f"station {self.station_id!r}: capacity {capacity} exceeds the limit {self.capacity_limit}"
             )
         if self._finite:
-            m = capacity + 1
-            p = self.profile
-            if capacity not in self._day_cost:
-                self._day_cost[capacity] = np.array([float(expected_cost_finite(p, capacity - x, x)) for x in range(m)])
+            cost, ends = _finite_day(self.profile, capacity)
+            self._day_cost.setdefault(capacity, np.array([float(t) for t in cost]))
             if transition:
-                rho = np.zeros((m, m))
-                residual = float(p.residual)
-                for x in range(m):
-                    for events, prob in p.atoms:
-                        if prob != 0:
-                            rho[x, count_stockouts(events, capacity - x, x)[1].bikes] += float(prob)
-                    rho[x, x] += residual
+                starts = np.arange(capacity + 1)
+                rho = np.zeros((capacity + 1, capacity + 1))
+                for prob, end in ends:
+                    rho[starts, end] += float(prob)
+                rho[starts, starts] += float(self.profile.residual)
                 self._day_transition[capacity] = rho
             return
         first = capacity - capacity % COST_BLOCK
@@ -364,6 +401,8 @@ class LazyDailyCost:
 
     def materialize(self, capacity: int) -> "CostTable":
         """Tabulate the day-long expected events for every split d + b <= capacity."""
+        if capacity < 0:
+            raise ValidationError(f"station {self.station_id!r}: table capacity must be non-negative, got {capacity}")
         values = tuple(tuple(float(x) for x in self.cost_vector(s)) for s in range(capacity + 1))
         return CostTable(self.station_id, capacity, values, "finite" if self._finite else "poisson")
 
@@ -458,13 +497,8 @@ def cost_table_from_finite(
 ) -> CostTable:
     """Tabulate a finite profile exactly over the capacity triangle."""
     profile.validate()
-    values = []
-    for s in range(capacity + 1):
-        row = []
-        for b in range(s + 1):
-            row.append(expected_cost_finite(profile, s - b, b))
-        values.append(tuple(row))
-    return CostTable(station_id, capacity, tuple(values), provenance)
+    values = tuple(tuple(_finite_day(profile, s)[0]) for s in range(capacity + 1))
+    return CostTable(station_id, capacity, values, provenance)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dockalloc.cli import main
+from dockalloc.demand import Horizon, save_profiles
 from dockalloc.oracle import exchange_trap_instance, save_instance, synthetic_scenario, instance_to_json
 
 
@@ -190,6 +191,52 @@ class TestOptimizeCommand:
             "--bikes", 0, "--docks", 12, "--out", tmp_path / "dup",
         ) == 1
         assert "dup7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["optimize", "longrun"])
+def test_table_the_descent_cannot_solve_exits_1(tmp_path, capsys, command):
+    # g is not convex in capacity: with 4 docks the descent stopped at
+    # capacities (2, 2), objective 17.8, while (0, 4) costs 10.0
+    g = [10, 9, 8.9, 8.8, 0, 0]
+    table_dir = tmp_path / "tables"
+    table_dir.mkdir()
+    for sid in ("a", "b"):
+        doc = {"station_id": sid, "max_capacity": 5, "values": [[g[s]] * (s + 1) for s in range(6)]}
+        (table_dir / f"table_{sid}.json").write_text(json.dumps(doc))
+    stations = tmp_path / "stations.json"
+    stations.write_text(json.dumps([{"id": sid, "current_docks": 2, "current_bikes": 0, "l": 0, "u": 5} for sid in "ab"]))
+    out = tmp_path / "out"
+    argv = (command, "--stations", stations, "--tables", table_dir, "--bikes", 0, "--docks", 4, "--out", out)
+    assert run(*argv) == 1
+    message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+    assert "'a'" in message and "inequality (1) fails at d=0, b=2" in message and "12 violations" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("objective", ["daily", "longrun"])
+def test_tables_output_solves_as_the_profiles_do(tmp_path, objective):
+    spec = synthetic_scenario(n_stations=4, seed=3)
+    profiles = tmp_path / "profiles.json"
+    save_profiles(profiles, [s.profile for s in spec.stations], Horizon(intervals=48))
+    stations = tmp_path / "stations.json"
+    stations.write_text(
+        json.dumps(
+            [
+                {"id": s.id, "current_docks": s.baseline_docks + s.baseline_bikes, "current_bikes": s.baseline_bikes,
+                 "l": s.lower, "u": s.upper}
+                for s in spec.stations
+            ]
+        )
+    )
+    tables = tmp_path / "tables"
+    assert run("tables", "--profiles", profiles, "--stations", stations, "--objective", objective, "--out", tables) == 0
+    budget = ("--bikes", spec.bike_budget, "--docks", spec.dock_budget - spec.bike_budget, "--max-moves", 20)
+    plans = {}
+    for source, path in (("--tables", tables), ("--profiles", profiles)):
+        out = tmp_path / source.strip("-")
+        assert run("optimize", "--stations", stations, source, path, "--objective", objective, *budget, "--out", out) == 0
+        plans[source] = [(s["docks_after"], s["bikes_after"]) for s in read_json(out / "allocation.json")["stations"]]
+    assert plans["--tables"] == plans["--profiles"]
 
 
 def run_tables_for_stations(tmp_path, stations_path, table_dir):
@@ -402,6 +449,37 @@ def estimate_on_huge_stamp(tmp_path):
     return "estimate", "--trips", trips, "--status", status, "--days", 1
 
 
+def tables_with_capacity(tmp_path, capacity, objective):
+    profiles = one_interval_profiles(tmp_path, ("a",))
+    return "tables", "--profiles", profiles, "--capacity", capacity, "--objective", objective
+
+
+def tables_on_negative_upper(tmp_path):
+    stations = tmp_path / "stations.json"
+    stations.write_text(json.dumps([{**GOOD_STATIONS[0], "u": -2}, GOOD_STATIONS[1]]))
+    return "tables", "--profiles", one_interval_profiles(tmp_path, ("a", "b")), "--stations", stations
+
+
+def tables_on_profiles_horizon(tmp_path, intervals, rates, flag_interval=0):
+    path = tmp_path / "profiles.json"
+    path.write_text(
+        json.dumps(
+            {
+                "horizon": {"intervals": intervals, "minutes_per_interval": 30.0, "start_hour": 0.0},
+                "stations": [
+                    {
+                        "id": "a",
+                        "rental_rates": [0.1] * rates,
+                        "return_rates": [0.1] * rates,
+                        "flags": [{"interval": flag_interval, "kind": "rental", "flag": "no_exposure"}],
+                    }
+                ],
+            }
+        )
+    )
+    return "tables", "--profiles", path
+
+
 MALFORMED_INPUTS = {
     "trips-integer-stamp-beyond-float": estimate_on_huge_stamp,
     "table-nan-entry": lambda tmp: optimize_on_bad_table(tmp, float("nan")),
@@ -414,6 +492,14 @@ MALFORMED_INPUTS = {
     "days-infinite-interval": lambda tmp: posterior_on_bad_days(tmp, "inf:5"),
     "days-nan-minutes": lambda tmp: posterior_on_bad_days(tmp, "0:nan"),
     "days-period-longer-than-interval": lambda tmp: posterior_on_bad_days(tmp, "0:300000"),
+    # each of these wrote a table that load_cost_table rejects
+    "tables-negative-capacity": lambda tmp: tables_with_capacity(tmp, -3, "daily"),
+    "tables-negative-capacity-longrun": lambda tmp: tables_with_capacity(tmp, -3, "longrun"),
+    "stations-negative-upper": tables_on_negative_upper,
+    # each of these loaded as a truncated count
+    "profiles-fractional-intervals": lambda tmp: tables_on_profiles_horizon(tmp, 2.9, 2),
+    "profiles-boolean-intervals": lambda tmp: tables_on_profiles_horizon(tmp, True, 1),
+    "profiles-fractional-flag-interval": lambda tmp: tables_on_profiles_horizon(tmp, 2, 2, flag_interval=1.7),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,10 @@ from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
 from dockalloc.oracle import posterior_replay_path, random_decreased_day
 from dockalloc.posterior import (
+    ImpactEstimate,
     ObservedDay,
     added_capacity_impact,
     censored_subsequence,
-    count_stockouts_masked,
     decreased_capacity_impact,
     days_from_csv,
     days_from_json,
@@ -140,6 +141,19 @@ class TestSegmentTables:
                 args = (day, profile, rule, seed, resamples, mode)
                 assert decreased_capacity_impact(*args) == posterior_replay_path(*args), (rule, mode)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 2**16))
+    def test_day_without_periods_is_one_exact_replay(self, day_seed, resamples, seed):
+        # no profile needed, and the segment path draws nothing
+        day = dataclasses.replace(self.day(day_seed)[0], full_periods=(), empty_periods=())
+        for rule in ("same_bikes", "proportional"):
+            b_before = resolve_bikes_before(day, rule)
+            for mode in ("none", "strict", "optimistic"):
+                events, exempt = rebalancing_adjustment(day, mode)
+                after = count_stockouts(events, day.capacity_after - day.bikes_at_open, day.bikes_at_open, exempt)[0]
+                before = count_stockouts(events, day.capacity_before - b_before, b_before, exempt)[0]
+                expected = ImpactEstimate(mean=float(after - before), stderr=0.0, resamples=1, seed=seed)
+                assert decreased_capacity_impact(day, None, rule, seed, resamples, mode) == expected, (rule, mode)
+
     def test_random_days_cover_crews_periods_and_exemptions(self):
         seen = set()
         for seed in range(200):
@@ -192,12 +206,12 @@ class TestRebalancing:
         day = ObservedDay("a", 2, 2, 0, rebalancing_events=((50.0, 3),), event_timestamps=())
         events, exempt = rebalancing_adjustment(day, "strict")
         assert events == (1, 1, 1)
-        assert count_stockouts_masked(events, 2, 0, exempt) == 1
+        assert count_stockouts(events, 2, 0, exempt)[0] == 1
 
     def test_optimistic_mode_exempts_them(self):
         day = ObservedDay("a", 2, 2, 0, rebalancing_events=((50.0, 3),), event_timestamps=())
         events, exempt = rebalancing_adjustment(day, "optimistic")
-        assert count_stockouts_masked(events, 2, 0, exempt) == 0
+        assert count_stockouts(events, 2, 0, exempt)[0] == 0
 
     def test_splice_respects_timestamps(self):
         day = ObservedDay(
@@ -219,6 +233,10 @@ class TestRebalancing:
         with pytest.raises(ValidationError, match="event_timestamps"):
             rebalancing_adjustment(day)
 
+    def test_none_mode_leaves_the_crews_out(self):
+        day = ObservedDay("a", 2, 2, 0, observed_events=(1,), rebalancing_events=((5.0, 1),))
+        assert rebalancing_adjustment(day, "none") == ((1,), (False,))
+
     def test_optimistic_never_exceeds_strict(self, rng):
         for _ in range(50):
             cap = int(rng.integers(1, 6))
@@ -230,9 +248,9 @@ class TestRebalancing:
             day = ObservedDay("a", cap, cap, b, events, stamps, rebalancing_events=reb)
             strict_ev, strict_mask = rebalancing_adjustment(day, "strict")
             opt_ev, opt_mask = rebalancing_adjustment(day, "optimistic")
-            assert count_stockouts_masked(opt_ev, cap - b, b, opt_mask) <= count_stockouts_masked(
+            assert count_stockouts(opt_ev, cap - b, b, opt_mask)[0] <= count_stockouts(
                 strict_ev, cap - b, b, strict_mask
-            )
+            )[0]
 
 
 class TestReport:

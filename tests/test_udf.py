@@ -21,9 +21,11 @@ from dockalloc.udf import (
     expected_cost_finite,
     interval_cost_poisson,
     load_cost_table,
+    replay_from_every_start,
     save_cost_table,
 )
 from dockalloc.oracle import day_matrix_path, simulate_cost, synthetic_scenario
+from dockalloc.posterior import censored_subsequence
 
 events_strategy = st.lists(st.sampled_from([-1, 1]), max_size=14).map(tuple)
 
@@ -374,3 +376,115 @@ class TestMultimodularity:
         violations = check_multimodular(table)
         assert {(v.inequality, v.d, v.b) for v in violations} == {(1, 0, 0), (6, 0, 0)}
         assert all(v.amount == pytest.approx(1.0) for v in violations)
+
+
+# The replays as they stood before the finite day model and the posterior
+# shared ``count_stockouts`` and ``replay_from_every_start``: one scalar loop
+# per use, kept here as the references of the shared ones.
+
+
+def reference_replay(events, d, b, exempt=None):
+    """Misses, final (docks, bikes) and the served events, one event at a time."""
+    docks, bikes, misses, served = d, b, 0, []
+    for i, x in enumerate(events):
+        skip = exempt is not None and exempt[i]
+        if x == 1:
+            if docks == 0:
+                misses += 0 if skip else 1
+            else:
+                docks, bikes = docks - 1, bikes + 1
+                served.append(x)
+        else:
+            if bikes == 0:
+                misses += 0 if skip else 1
+            else:
+                docks, bikes = docks + 1, bikes - 1
+                served.append(x)
+    return misses, (docks, bikes), tuple(served)
+
+
+def reference_expected_cost(profile, d, b):
+    total = 0
+    for events, p in profile.atoms:
+        if p != 0:
+            total += p * reference_replay(events, d, b)[0]
+    return total
+
+
+def reference_finite_day(profile, capacity):
+    """The finite branch of ``LazyDailyCost._build``: a replay per start
+    count and atom."""
+    m = capacity + 1
+    cost = np.array([float(reference_expected_cost(profile, capacity - x, x)) for x in range(m)])
+    rho = np.zeros((m, m))
+    residual = float(profile.residual)
+    for x in range(m):
+        for events, prob in profile.atoms:
+            if prob != 0:
+                rho[x, reference_replay(events, capacity - x, x)[1][1]] += float(prob)
+        rho[x, x] += residual
+    return cost, rho
+
+
+events_30 = st.lists(st.sampled_from([-1, 1]), max_size=30).map(tuple)
+
+
+@st.composite
+def finite_profiles(draw):
+    """Up to four atoms with float probabilities, or with ninths as
+    ``Fraction``s, some of them zero."""
+    exact = draw(st.booleans())
+    atoms, left = [], 9
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, left))
+        left -= k
+        atoms.append((draw(events_30), Fraction(k, 9) if exact else draw(st.floats(0, 0.25))))
+    return FiniteProfile(tuple(atoms))
+
+
+class TestReplays:
+    @given(st.data(), events_30, st.integers(0, 12))
+    def test_table_matches_the_scalar_replay_from_every_start(self, data, events, capacity):
+        exempt = data.draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=len(events), max_size=len(events))))
+        ends, misses = replay_from_every_start(events, capacity, exempt)
+        for x in range(capacity + 1):
+            count, state = count_stockouts(events, capacity - x, x, exempt)
+            assert (int(ends[x]), int(misses[x])) == (state.bikes, count)
+
+    @given(st.data(), events_30, st.integers(0, 8), st.integers(0, 8))
+    def test_scalar_replays_match_the_reference_loop(self, data, events, d, b):
+        exempt = data.draw(st.lists(st.booleans(), min_size=len(events), max_size=len(events)))
+        misses, state, served = reference_replay(events, d, b, exempt)
+        count, final = count_stockouts(events, d, b, exempt)
+        assert (count, (final.open_docks, final.bikes)) == (misses, state)
+        assert count_stockouts(events, d, b)[0] == reference_replay(events, d, b)[0]
+        assert censored_subsequence(events, d, b) == served
+
+    def test_exempt_flags_must_match_the_events(self):
+        with pytest.raises(ValueError):
+            count_stockouts((1, -1), 1, 1, (False,))
+
+    def test_table_rejects_bad_event(self):
+        with pytest.raises(ValidationError):
+            replay_from_every_start((1, 0, -1), 3)
+
+    @given(finite_profiles(), st.integers(0, 9))
+    def test_finite_day_model_keeps_its_bits(self, profile, capacity):
+        cost, rho = reference_finite_day(profile, capacity)
+        daily = LazyDailyCost(profile)
+        assert np.array_equal(daily.day_transition(capacity), rho)
+        assert np.array_equal(daily.cost_vector(capacity), cost)
+        assert np.array_equal(LazyDailyCost(profile).cost_vector(capacity), cost)
+
+    @given(finite_profiles(), st.integers(0, 9))
+    def test_exact_tables_equal_the_scalar_sums(self, profile, capacity):
+        values = cost_table_from_finite(profile, capacity).values
+        assert values == tuple(
+            tuple(reference_expected_cost(profile, s - b, b) for b in range(s + 1)) for s in range(capacity + 1)
+        )
+        assert all(type(v) is type(reference_expected_cost(profile, 0, 0)) for row in values for v in row)
+
+    def test_negative_table_capacity_rejected(self):
+        for profile in (PoissonProfile("n", (0.1,), (0.1,)), FiniteProfile((((1,), 0.5),))):
+            with pytest.raises(ValidationError, match="non-negative"):
+                LazyDailyCost(profile).materialize(-3)
