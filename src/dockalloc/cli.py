@@ -27,7 +27,7 @@ from . import __version__
 from . import demand as demand_mod
 from . import oracle as oracle_mod
 from . import posterior as posterior_mod
-from .allocator import Constraints, LogEntry, optimize, optimize_tradeoff
+from .allocator import DEFAULT_IMPROVEMENT_THRESHOLD, Constraints, LogEntry, optimize, optimize_tradeoff
 from .errors import InfeasibleError, ValidationError, read_json, row_list, whole_number
 from .longrun import LongrunCost
 from .scaling import PhasePlan, optimize_scaled
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--docks", type=int, default=None, help="empty-dock budget D (total docks = B + D)")
         p.add_argument("--max-moves", type=int, default=None)
         p.add_argument("--tradeoff", default=None, help="k,M joint move/buy budget")
-        p.add_argument("--threshold", type=float, default=1e-11)
+        p.add_argument("--threshold", type=float, default=DEFAULT_IMPROVEMENT_THRESHOLD)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_optimize)

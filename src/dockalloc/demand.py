@@ -96,6 +96,13 @@ class PoissonProfile:
             for r in rates:
                 if not (r >= 0 and r == r and r != float("inf")):
                     raise ValidationError(f"profile {self.station_id!r}: rate {r} is not finite and non-negative")
+        for interval, kind, _ in self.flags:
+            if not 0 <= interval < self.intervals:
+                raise ValidationError(
+                    f"profile {self.station_id!r}: flag interval {interval} outside the {self.intervals}-interval horizon"
+                )
+            if kind not in (RENTAL, RETURN):
+                raise ValidationError(f"profile {self.station_id!r}: flag kind {kind!r} is not {RENTAL!r} or {RETURN!r}")
 
     @property
     def intervals(self) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .demand import PoissonProfile
 from .errors import ValidationError
-from .udf import DEFAULT_CAPACITY_LIMIT, CostTable, FiniteProfile, LazyDailyCost
+from .udf import CostTable, FiniteProfile, LazyDailyCost
 
 ROW_SUM_TOL = 1e-9
 RANK_TOL = 1e-10
@@ -116,8 +116,8 @@ class LongrunCost:
     irrelevant.
     """
 
-    def __init__(self, profile: PoissonProfile | FiniteProfile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
-        self.daily = LazyDailyCost(profile, capacity_limit)
+    def __init__(self, profile: PoissonProfile | FiniteProfile):
+        self.daily = LazyDailyCost(profile)
         self.station_id = self.daily.station_id
         self._by_capacity: dict[int, float] = {}
         self._chains: dict[int, DayChain] = {}

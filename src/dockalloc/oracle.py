@@ -32,6 +32,7 @@ from .udf import (
     CostSource,
     FiniteProfile,
     Number,
+    bike_trajectory,
     cost_table_from_finite,
     count_stockouts,
     interval_cost_poisson,
@@ -421,9 +422,7 @@ def random_decreased_day(rng: np.random.Generator, max_capacity: int = 8, max_ev
     stamps = tuple(float(t) for t in np.sort(rng.integers(0, 20, n)))
     crews = tuple(sorted((float(rng.integers(0, 20)), int(rng.integers(-3, 4))) for _ in range(rng.integers(0, 3))))
     day = ObservedDay("r", after + int(rng.integers(0, 5)), after, bikes, events, stamps, rebalancing_events=crews)
-    states = [bikes]
-    for x in rebalancing_adjustment(day, "optimistic")[0]:
-        states.append(min(after, max(0, states[-1] + x)))
+    states = bike_trajectory(rebalancing_adjustment(day, "optimistic")[0], after - bikes, bikes)
     reached = [q for q, x in enumerate(states) if x in (0, after)]
     chosen = np.sort(rng.choice(reached, size=min(len(reached), int(rng.integers(0, 4))), replace=False))
     full, empty = [], []

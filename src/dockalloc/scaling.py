@@ -8,6 +8,11 @@ optimum in far fewer iterations than the unit-stride descent when budgets
 are large, and stopping before stride 1 yields allocations that move docks
 only in multiples of the last stride (useful when docks come in banks of
 four).
+
+Under a cap on moved docks, each phase restarts from the baseline
+capacities, keeping the previous phase's bikes where they fit, and may
+make ``max_moves // stride`` moves.  A capped plan that ends at stride 1
+thus logs the moves of the unit-stride descent.
 """
 
 from __future__ import annotations
@@ -24,18 +29,10 @@ from .allocator import (
     _Descent,
     _sweep,
     bike_optimal,
-    dock_move_distance,
     DEFAULT_IMPROVEMENT_THRESHOLD,
 )
 from .errors import ValidationError
 from .udf import CostSource, CountingSource, Number
-
-# Projection allowance multiplier between constrained phases: the distance
-# between consecutive phase optima is bounded by a cubic polynomial of the
-# station count, so pulling the incumbent this far toward the baseline never
-# skips past the next optimum.
-PROJECTION_FACTOR = 8
-
 
 @dataclass(frozen=True)
 class PhasePlan:
@@ -83,40 +80,15 @@ class PhasePlan:
         return PhasePlan(kept)
 
 
-def _real_distance(docks, bikes, baseline_caps, n_real: int) -> int:
-    caps = [docks[s] + bikes[s] for s in range(n_real)]
-    return dock_move_distance(caps, baseline_caps[:n_real])
-
-
-def _project_toward_baseline(docks, bikes, baseline_caps, n_real: int, depot: int, allowance: int) -> None:
-    """Pull station capacities toward the baseline, at most ``allowance``
-    docks per station, transferring in matched pairs so the total is
-    conserved.  Bikes stranded by a shrunken station park at the depot."""
-    budget = [allowance] * n_real
-    while True:
-        above = next(
-            (s for s in range(n_real) if budget[s] > 0 and docks[s] + bikes[s] > baseline_caps[s]),
-            None,
-        )
-        below = next(
-            (s for s in range(n_real) if budget[s] > 0 and docks[s] + bikes[s] < baseline_caps[s]),
-            None,
-        )
-        if above is None or below is None:
-            return
-        gap_a = docks[above] + bikes[above] - baseline_caps[above]
-        gap_b = baseline_caps[below] - docks[below] - bikes[below]
-        amount = min(gap_a, gap_b, budget[above], budget[below])
-        docks[above] -= amount
-        if docks[above] < 0:  # station held bikes in the removed docks
-            overflow = -docks[above]
-            docks[above] = 0
-            bikes[above] -= overflow
-            bikes[depot] += overflow
-            docks[depot] -= overflow
-        docks[below] += amount
-        budget[above] -= amount
-        budget[below] -= amount
+def _reset_to_baseline(docks, bikes, baseline_caps, depot: int) -> None:
+    """Give every real station its baseline capacity back.  A shrunk station
+    keeps its bikes up to that capacity and parks the rest at the depot; a
+    regrown station gets its docks back empty."""
+    for s in range(depot):
+        kept = min(bikes[s], baseline_caps[s])
+        bikes[depot] += bikes[s] - kept
+        docks[depot] -= bikes[s] - kept
+        docks[s], bikes[s] = baseline_caps[s] - kept, kept
 
 
 def _cascade(
@@ -130,9 +102,10 @@ def _cascade(
     max_moves: int | None,
     threshold: float,
 ):
-    """Run the full phase sequence; returns final state, log and stats."""
-    n = len(sources)
-    depot = n - 1
+    """Run the full phase sequence; returns final state, log and stats.
+    Under a cap every phase restarts from the baseline capacities with the
+    budget ``max_moves // step``, so the log is the last phase's moves."""
+    depot = len(sources) - 1
     docks = list(start_docks)
     bikes = list(start_bikes)
     log: list[tuple[DockMove, Number]] = []
@@ -141,7 +114,8 @@ def _cascade(
         tally: dict[int, int] = {}
         counted = [CountingSource(s, tally) for s in sources]
         if max_moves is not None:
-            _project_toward_baseline(docks, bikes, baseline_caps, n - 1, depot, PROJECTION_FACTOR * n**3 * step)
+            _reset_to_baseline(docks, bikes, baseline_caps, depot)
+            log.clear()
         if step == 1:
             # exact bike re-optimization: take every bike out, add back greedily
             alloc = bike_optimal([d + b for d, b in zip(docks, bikes)], sum(bikes), counted)
@@ -152,12 +126,7 @@ def _cascade(
             bike_moves = pre.optimize_bikes_pairwise()
             docks, bikes = list(pre.d), list(pre.b)
         engine = _Descent(counted, lower, upper, docks, bikes, stride=step, threshold=threshold)
-        if max_moves is None:
-            budget = None
-        else:
-            slack = 2 * max_moves - _real_distance(docks, bikes, baseline_caps, n - 1)
-            budget = max(slack, 0) // (2 * step)
-        moves = engine.run(max_iterations=budget)
+        moves = engine.run(max_iterations=None if max_moves is None else max_moves // step)
         docks, bikes = list(engine.d), list(engine.b)
         log.extend(moves)
         phases.append(
@@ -194,12 +163,12 @@ def optimize_scaled(
     """Phase-scaled descent, with or without a moved-dock cap.
 
     Ends at the same objective as the unit-stride descent whenever the plan
-    finishes at stride 1.  Under a finite ``constraints.max_moves`` the
-    incumbent is pulled back toward the baseline between phases far enough
-    that the next, finer phase can reach its optimum within the remaining
-    budget; each phase then runs with an iteration cap that keeps the final
-    allocation inside the allowed ball around the baseline.  The default
-    plan is powers of two up to the dock budget.
+    finishes at stride 1.  Under a finite ``constraints.max_moves`` every
+    phase restarts from the baseline capacities and runs at most
+    ``max_moves // stride`` moves, and the log holds the last phase's moves
+    only, each of ``stride`` docks.  Without a cap each phase starts where
+    the one before stopped, and the log holds every phase's moves.  The
+    default plan is powers of two up to the dock budget.
     """
     plan = plan or PhasePlan.powers_of_two(constraints.dock_budget)
     return _sweep(constraints, tables, partial(_scaled_descent, plan), improvement_threshold)[0]

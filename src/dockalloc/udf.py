@@ -270,12 +270,11 @@ class LazyDailyCost:
     at once (residual mass leaves the state unchanged).
     """
 
-    def __init__(self, profile: PoissonProfile | FiniteProfile, capacity_limit: int = DEFAULT_CAPACITY_LIMIT):
+    def __init__(self, profile: PoissonProfile | FiniteProfile):
         profile.validate()
         self.profile = profile
         self._finite = isinstance(profile, FiniteProfile)
         self.station_id = "" if self._finite else profile.station_id
-        self.capacity_limit = capacity_limit
         self._day_cost: dict[int, np.ndarray] = {}
         self._day_transition: dict[int, np.ndarray] = {}
         self._jumps: list[tuple[float, float, np.ndarray]] | None = None
@@ -318,8 +317,8 @@ class LazyDailyCost:
         jump's row.  The transition columns start as each capacity's
         identity and take the same update without the ``o_k bnd`` term,
         ending as ``T_1 ... T_K``.  BLAS may round an entry by its place in
-        the block, so a capacity's vectors are a function of (profile,
-        capacity, ``capacity_limit``), which fix its aligned block.
+        the block, so a capacity's vectors are a function of the profile
+        and the capacity, which fix its aligned block.
         """
         sizes = np.array(capacities) + 1
         lows = np.cumsum(sizes) - sizes
@@ -361,9 +360,9 @@ class LazyDailyCost:
     def _build(self, capacity: int, transition: bool) -> None:
         if capacity < 0:
             raise ValidationError(f"capacity must be non-negative, got {capacity}")
-        if capacity > self.capacity_limit:
+        if capacity > DEFAULT_CAPACITY_LIMIT:
             raise CapacityLimitError(
-                f"station {self.station_id!r}: capacity {capacity} exceeds the limit {self.capacity_limit}"
+                f"station {self.station_id!r}: capacity {capacity} exceeds the limit {DEFAULT_CAPACITY_LIMIT}"
             )
         if self._finite:
             cost, ends = _finite_day(self.profile, capacity)
@@ -377,7 +376,7 @@ class LazyDailyCost:
                 self._day_transition[capacity] = rho
             return
         first = capacity - capacity % COST_BLOCK
-        block = list(range(first, min(first + COST_BLOCK - 1, self.capacity_limit) + 1))
+        block = list(range(first, min(first + COST_BLOCK - 1, DEFAULT_CAPACITY_LIMIT) + 1))
         costs, rhos = self._price_block(block, transition)
         self._day_cost.update((c, v) for c, v in zip(block, costs) if c not in self._day_cost)
         self._day_transition.update(zip(block, rhos))

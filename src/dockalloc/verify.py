@@ -139,10 +139,30 @@ def _check_solver_agreement(seed: int, instances: int) -> dict:
                 failures.append(
                     f"case {case} plan {plan.step_sizes}: {scaled.objective} != greedy {greedy.objective}"
                 )
+    capped = 0
+    for case in range(instances):
+        rng = _rng(seed, 2500 + case)
+        spec = random_instance(rng, n_max=5, budget_max=12, surplus=int(rng.integers(0, 4)) * (case % 2))
+        tables = spec.tables()
+        plans = (PhasePlan.powers_of_two(spec.dock_budget), PhasePlan.hybrid(), PhasePlan.hybrid().truncate(4))
+        for z in range(6):
+            constraints = replace(spec.constraints(), max_moves=z)
+            greedy = optimize(constraints, tables, improvement_threshold=0.0)
+            for plan in plans:
+                scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=0.0)
+                capped += 1
+                last = plan.step_sizes[-1]
+                relocations = sum(entry.move.i != len(tables) for entry in scaled.log)
+                if relocations > z // last:
+                    failures.append(f"capped case {case} z={z} plan {plan.step_sizes}: {relocations} moves logged")
+                if last == 1 and scaled.log != greedy.log:
+                    failures.append(f"capped case {case} z={z} plan {plan.step_sizes}: log differs from greedy")
     return {
         "name": "scaled_solvers_match_greedy",
         "passed": not failures,
-        "details": failures or f"{instances} instances agree across plans",
+        "details": failures
+        or f"{instances} instances agree across plans; {capped} capped plans log at most z // last stride moves, "
+        "greedy's own when the last stride is 1",
     }
 
 

@@ -22,6 +22,7 @@ from dockalloc.demand import (
     _parse_timestamp,
     save_profiles,
 )
+from dockalloc.cli import main
 from dockalloc.errors import ValidationError
 
 
@@ -140,6 +141,31 @@ def test_profiles_json_round_trip(tmp_path):
     assert loaded[0].flags == profiles[0].flags
     doc = json.loads(path.read_text())
     assert set(doc["horizon"]) == {"intervals", "minutes_per_interval", "start_hour"}
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        {"interval": 99, "kind": "rental", "flag": "censored_fallback"},
+        {"interval": -1, "kind": "return", "flag": "censored_fallback"},
+        {"interval": 1, "kind": "arrival", "flag": "censored_fallback"},
+    ],
+    ids=["interval-past-horizon", "negative-interval", "unknown-kind"],
+)
+def test_profiles_json_rejects_malformed_flags(tmp_path, capsys, flag):
+    path = tmp_path / "profiles.json"
+    path.write_text(
+        json.dumps(
+            {
+                "horizon": {"intervals": 2, "minutes_per_interval": 30.0, "start_hour": 0.0},
+                "stations": [{"id": "a", "rental_rates": [0.1, 0.1], "return_rates": [0.1, 0.1], "flags": [flag]}],
+            }
+        )
+    )
+    with pytest.raises(ValidationError, match="'a'"):
+        load_profiles(path)
+    assert main(["tables", "--profiles", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "validation"
 
 
 

@@ -2,10 +2,12 @@ import dataclasses
 
 import pytest
 
-from dockalloc.allocator import optimize
+from dockalloc.allocator import Constraints, optimize
+from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
 from dockalloc.oracle import brute_force_optimum, random_instance
 from dockalloc.scaling import PhasePlan, optimize_scaled, optimize_scaled_constrained
+from dockalloc.udf import LazyDailyCost
 
 from conftest import philox
 
@@ -181,3 +183,68 @@ class TestScaledConstrained:
                     )
                     assert scaled.objective == greedy.objective, (case, z, plan.step_sizes)
         assert checked >= 10
+
+
+def relocations(result, n):
+    """Logged moves that relocate docks, not depot deployments."""
+    return sum(entry.move.i != n for entry in result.log)
+
+
+class TestScaledLog:
+    """Under a cap every phase restarts from the baseline, so the log holds
+    the moves of the last phase only."""
+
+    def test_capped_stride_one_plans_log_greedy_moves(self):
+        for case in range(30):
+            rng = philox(223, case)
+            spec = random_instance(rng, n_max=5, budget_max=14, surplus=int(rng.integers(1, 4)))
+            tables = spec.tables()
+            for z in (0, 1, 2, 3, 5, 8):
+                constraints = dataclasses.replace(spec.constraints(), max_moves=z)
+                greedy = optimize(constraints, tables, improvement_threshold=0.0)
+                for plan in (PhasePlan.powers_of_two(spec.dock_budget), PhasePlan.hybrid()):
+                    scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=0.0)
+                    assert scaled.log == greedy.log, (case, z, plan.step_sizes)
+
+    def test_capped_plans_log_at_most_cap_over_last_stride(self):
+        for case in range(30):
+            rng = philox(227, case)
+            spec = random_instance(rng, n_max=5, budget_max=14, surplus=case % 4)
+            tables = spec.tables()
+            plans = (
+                PhasePlan.powers_of_two(spec.dock_budget),
+                PhasePlan.hybrid(),
+                PhasePlan.hybrid().truncate(4),
+                PhasePlan((8, 4)),
+                PhasePlan((4,)),
+                PhasePlan((2,)),
+                PhasePlan((3, 1)),
+            )
+            for z in (0, 1, 2, 3, 5, 8):
+                constraints = dataclasses.replace(spec.constraints(), max_moves=z)
+                for plan in plans:
+                    scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=0.0)
+                    last = plan.step_sizes[-1]
+                    assert relocations(scaled, len(tables)) <= z // last, (case, z, plan.step_sizes)
+                    assert scaled.phases[-1].iterations == relocations(scaled, len(tables))
+
+    def test_two_station_swing_logs_greedy_moves(self):
+        # station a empties in the morning and fills at night; b barely moves
+        a = PoissonProfile("a", (0.3,) * 24 + (0.0,) * 24, (0.0,) * 24 + (0.3,) * 24, minutes_per_interval=30.0)
+        b = PoissonProfile("b", (0.001,) * 48, (0.001,) * 48, minutes_per_interval=30.0)
+        tables = [LazyDailyCost(a), LazyDailyCost(b)]
+        constraints = Constraints(
+            bike_budget=400,
+            dock_budget=520,
+            baseline_docks=(0, 100),
+            baseline_bikes=(20, 380),
+            lower=(0, 0),
+            upper=(512, 512),
+            max_moves=300,
+        )
+        greedy = optimize(constraints, tables)
+        scaled = optimize_scaled(constraints, tables, PhasePlan.powers_of_two(520))
+        assert scaled.allocation.capacities == greedy.allocation.capacities == (330, 190)
+        assert len(greedy.log) == 310
+        assert scaled.log == greedy.log
+        assert relocations(scaled, 2) == 290

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dockalloc import udf
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import CapacityLimitError, ValidationError
 from dockalloc.udf import (
@@ -156,10 +157,11 @@ class TestDailyCost:
             for b in range(s + 1):
                 assert lazy.cost(s - b, b) == table.cost(s - b, b) == float(exact.cost(s - b, b))
 
-    def test_capacity_limit_enforced(self):
+    def test_capacity_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr(udf, "DEFAULT_CAPACITY_LIMIT", 16)
         p = PoissonProfile("c", (0.1,), (0.1,))
         with pytest.raises(CapacityLimitError):
-            LazyDailyCost(p, capacity_limit=16).cost(10, 7)
+            LazyDailyCost(p).cost(10, 7)
 
     def test_simulation_agreement_randomized(self, rng):
         for case in range(6):
@@ -306,8 +308,9 @@ class TestVectorKernel:
         with pytest.raises(ValidationError):
             daily.cost(2, 1)
 
-    def test_blocks_stop_at_the_capacity_limit(self, price_blocks):
-        daily = LazyDailyCost(PoissonProfile("c", (0.1, 0.2), (0.15, 0.05)), capacity_limit=10)
+    def test_blocks_stop_at_the_capacity_limit(self, price_blocks, monkeypatch):
+        monkeypatch.setattr(udf, "DEFAULT_CAPACITY_LIMIT", 10)
+        daily = LazyDailyCost(PoissonProfile("c", (0.1, 0.2), (0.15, 0.05)))
         assert daily.cost(4, 6) >= 0
         with pytest.raises(CapacityLimitError):
             daily.cost(5, 6)
