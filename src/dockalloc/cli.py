@@ -339,7 +339,7 @@ def cmd_optimize(args) -> int:
         plan = PhasePlan.powers_of_two(constraints.dock_budget)
     elif solver == "hybrid":
         plan = PhasePlan.hybrid()
-    if args.granularity > 1:
+    if args.granularity != 1:
         plan = (plan or PhasePlan((1,))).truncate(args.granularity)
 
     tradeoff_info = None

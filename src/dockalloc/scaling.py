@@ -9,10 +9,10 @@ are large, and stopping before stride 1 yields allocations that move docks
 only in multiples of the last stride (useful when docks come in banks of
 four).
 
-Under a cap on moved docks, each phase restarts from the baseline
-capacities, keeping the previous phase's bikes where they fit, and may
-make ``max_moves // stride`` moves.  A capped plan that ends at stride 1
-thus logs the moves of the unit-stride descent.
+Under a cap on moved docks only the plan's last stride runs: it starts
+from the baseline state and may make ``max_moves // stride`` moves.  A
+capped plan that ends at stride 1 thus logs the moves of the unit-stride
+descent.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class PhasePlan:
     def __post_init__(self):
         if not self.step_sizes:
             raise ValidationError("a phase plan needs at least one stride")
-        if any(int(s) != s or s < 1 for s in self.step_sizes):
+        if any(type(s) is not int or s < 1 for s in self.step_sizes):
             raise ValidationError(f"strides must be positive integers, got {self.step_sizes}")
         if any(a <= b for a, b in zip(self.step_sizes, self.step_sizes[1:])):
             raise ValidationError(f"strides must be strictly decreasing, got {self.step_sizes}")
@@ -70,52 +70,38 @@ class PhasePlan:
         return cls((8, 4, 1))
 
     def truncate(self, granularity: int) -> "PhasePlan":
-        """Drop strides below ``granularity`` so docks move in multiples of
-        it; the final allocation then respects physical dock-bank sizes."""
+        """Keep the strides that are multiples of ``granularity`` (else the
+        one stride ``granularity``) so docks move in multiples of it; the
+        final allocation then respects physical dock-bank sizes."""
         if granularity < 1:
             raise ValidationError(f"granularity must be >= 1, got {granularity}")
-        kept = tuple(s for s in self.step_sizes if s >= granularity)
+        kept = tuple(s for s in self.step_sizes if s % granularity == 0)
         if not kept:
             kept = (granularity,)
         return PhasePlan(kept)
-
-
-def _reset_to_baseline(docks, bikes, baseline_caps, depot: int) -> None:
-    """Give every real station its baseline capacity back.  A shrunk station
-    keeps its bikes up to that capacity and parks the rest at the depot; a
-    regrown station gets its docks back empty."""
-    for s in range(depot):
-        kept = min(bikes[s], baseline_caps[s])
-        bikes[depot] += bikes[s] - kept
-        docks[depot] -= bikes[s] - kept
-        docks[s], bikes[s] = baseline_caps[s] - kept, kept
 
 
 def _cascade(
     sources,
     lower,
     upper,
-    baseline_caps,
     start_docks,
     start_bikes,
     plan: PhasePlan,
     max_moves: int | None,
     threshold: float,
 ):
-    """Run the full phase sequence; returns final state, log and stats.
-    Under a cap every phase restarts from the baseline capacities with the
-    budget ``max_moves // step``, so the log is the last phase's moves."""
-    depot = len(sources) - 1
+    """Run the phase sequence from the start state; returns final state, log
+    and stats.  Under a cap only the last stride runs, with the budget
+    ``max_moves // step``: the cap counts docks moved from the baseline, so
+    a capped stride cannot start where an earlier one stopped."""
     docks = list(start_docks)
     bikes = list(start_bikes)
     log: list[tuple[DockMove, Number]] = []
     phases: list[PhaseStats] = []
-    for step in plan.step_sizes:
+    for step in plan.step_sizes if max_moves is None else plan.step_sizes[-1:]:
         tally: dict[int, int] = {}
         counted = [CountingSource(s, tally) for s in sources]
-        if max_moves is not None:
-            _reset_to_baseline(docks, bikes, baseline_caps, depot)
-            log.clear()
         if step == 1:
             # exact bike re-optimization: take every bike out, add back greedily
             alloc = bike_optimal([d + b for d, b in zip(docks, bikes)], sum(bikes), counted)
@@ -145,12 +131,7 @@ def _scaled_descent(plan: PhasePlan, sources, lower, upper, docks, bikes, thresh
     baseline state itself and runs once per move budget."""
     n = len(sources) - 1
     initial = sum(sources[s].cost(docks[s], bikes[s]) for s in range(n))
-    caps = [d + b for d, b in zip(docks, bikes)]
-
-    def reach(budget: int | None):
-        return _cascade(sources, lower, upper, caps, docks, bikes, plan, budget, threshold)
-
-    return initial, reach
+    return initial, partial(_cascade, sources, lower, upper, docks, bikes, plan, threshold=threshold)
 
 
 def optimize_scaled(
@@ -163,10 +144,10 @@ def optimize_scaled(
     """Phase-scaled descent, with or without a moved-dock cap.
 
     Ends at the same objective as the unit-stride descent whenever the plan
-    finishes at stride 1.  Under a finite ``constraints.max_moves`` every
-    phase restarts from the baseline capacities and runs at most
-    ``max_moves // stride`` moves, and the log holds the last phase's moves
-    only, each of ``stride`` docks.  Without a cap each phase starts where
+    finishes at stride 1.  Under a finite ``constraints.max_moves`` only the
+    plan's last stride runs: it starts from the baseline state and makes at
+    most ``max_moves // stride`` moves, each of ``stride`` docks, and
+    ``phases`` holds that one stride.  Without a cap each phase starts where
     the one before stopped, and the log holds every phase's moves.  The
     default plan is powers of two up to the dock budget.
     """

@@ -144,14 +144,25 @@ def _check_solver_agreement(seed: int, instances: int) -> dict:
         rng = _rng(seed, 2500 + case)
         spec = random_instance(rng, n_max=5, budget_max=12, surplus=int(rng.integers(0, 4)) * (case % 2))
         tables = spec.tables()
-        plans = (PhasePlan.powers_of_two(spec.dock_budget), PhasePlan.hybrid(), PhasePlan.hybrid().truncate(4))
+        plans = (
+            PhasePlan.powers_of_two(spec.dock_budget),
+            PhasePlan.hybrid(),
+            PhasePlan.hybrid().truncate(4),
+            PhasePlan((8, 4)),
+            PhasePlan((4, 2)),
+        )
         for z in range(6):
             constraints = replace(spec.constraints(), max_moves=z)
             greedy = optimize(constraints, tables, improvement_threshold=0.0)
+            alone = {}
             for plan in plans:
                 scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=0.0)
                 capped += 1
                 last = plan.step_sizes[-1]
+                if last not in alone:
+                    alone[last] = optimize_scaled(constraints, tables, PhasePlan((last,)), improvement_threshold=0.0)
+                if scaled != alone[last]:
+                    failures.append(f"capped case {case} z={z} plan {plan.step_sizes}: differs from stride {last} alone")
                 relocations = sum(entry.move.i != len(tables) for entry in scaled.log)
                 if relocations > z // last:
                     failures.append(f"capped case {case} z={z} plan {plan.step_sizes}: {relocations} moves logged")
@@ -161,8 +172,8 @@ def _check_solver_agreement(seed: int, instances: int) -> dict:
         "name": "scaled_solvers_match_greedy",
         "passed": not failures,
         "details": failures
-        or f"{instances} instances agree across plans; {capped} capped plans log at most z // last stride moves, "
-        "greedy's own when the last stride is 1",
+        or f"{instances} instances agree across plans; {capped} capped plans equal their last stride alone, "
+        "log at most z // last stride moves, and greedy's own when the last stride is 1",
     }
 
 

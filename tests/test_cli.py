@@ -30,6 +30,20 @@ def as_number(v):
     return Fraction(v) if isinstance(v, str) else v
 
 
+def assert_granularity_run_moves_multiples(tmp_path, granularity):
+    spec = synthetic_scenario(n_stations=4, seed=3, max_moves=None)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(spec)))
+    out = tmp_path / "g"
+    assert run("optimize", "--instance", path, "--solver", "hybrid", "--granularity", granularity, "--out", out) == 0
+    report = read_json(out / "allocation.json")
+    changes = [
+        station["docks_after"] - (spec_station.baseline_docks + spec_station.baseline_bikes)
+        for station, spec_station in zip(report["stations"], spec.stations)
+    ]
+    assert any(changes) and all(c % granularity == 0 for c in changes), changes
+
+
 class TestOptimizeCommand:
     def test_reference_instance_objective_in_report(self, tmp_path, trap_instance):
         out = tmp_path / "run"
@@ -97,15 +111,18 @@ class TestOptimizeCommand:
         assert values["greedy"] == values["scaling"] == values["hybrid"] == 1
 
     def test_granularity_flag(self, tmp_path):
-        spec = synthetic_scenario(n_stations=4, seed=3, max_moves=None)
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps(instance_to_json(spec)))
-        out = tmp_path / "g4"
-        assert run("optimize", "--instance", path, "--solver", "hybrid", "--granularity", 4, "--out", out) == 0
-        report = read_json(out / "allocation.json")
-        for station, spec_station in zip(report["stations"], spec.stations):
-            baseline_capacity = spec_station.baseline_docks + spec_station.baseline_bikes
-            assert (station["docks_after"] - baseline_capacity) % 4 == 0
+        assert_granularity_run_moves_multiples(tmp_path, 4)
+
+    def test_granularity_drops_strides_it_does_not_divide(self, tmp_path):
+        # hybrid's 8 and 4 are not multiples of 3, so the plan is the one stride 3
+        assert_granularity_run_moves_multiples(tmp_path, 3)
+
+    @pytest.mark.parametrize("granularity", [0, -3])
+    def test_rejects_granularity_below_one(self, tmp_path, trap_instance, granularity, capsys):
+        out = tmp_path / "g"
+        assert run("optimize", "--instance", trap_instance, "--granularity", granularity, "--out", out) == 1
+        assert "granularity" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_infeasible_exit_code(self, tmp_path):
         stations = tmp_path / "stations.json"

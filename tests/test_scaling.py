@@ -5,7 +5,7 @@ import pytest
 from dockalloc.allocator import Constraints, optimize
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
-from dockalloc.oracle import brute_force_optimum, random_instance
+from dockalloc.oracle import brute_force_optimum, random_instance, synthetic_scenario
 from dockalloc.scaling import PhasePlan, optimize_scaled, optimize_scaled_constrained
 from dockalloc.udf import LazyDailyCost
 
@@ -23,7 +23,25 @@ class TestPhasePlan:
 
     def test_truncate_for_granularity(self):
         assert PhasePlan.hybrid().truncate(4).step_sizes == (8, 4)
+        assert PhasePlan.hybrid().truncate(2).step_sizes == (8, 4)
+        assert PhasePlan.powers_of_two(10).truncate(2).step_sizes == (8, 4, 2)
+        assert PhasePlan.powers_of_two(10).truncate(4).step_sizes == (8, 4)
         assert PhasePlan((1,)).truncate(4).step_sizes == (4,)
+        # strides the granularity does not divide are dropped
+        assert PhasePlan.hybrid().truncate(3).step_sizes == (3,)
+        assert PhasePlan((9, 8, 6, 4, 3, 1)).truncate(3).step_sizes == (9, 6, 3)
+
+    def test_granularity_plans_move_multiples_of_it(self):
+        for seed in range(4):
+            spec = synthetic_scenario(n_stations=6, seed=seed, max_moves=None)
+            tables = spec.tables()
+            baseline = spec.constraints().baseline_capacities
+            for g in (2, 3, 4):
+                for z in (None, 8):
+                    constraints = dataclasses.replace(spec.constraints(), max_moves=z)
+                    result = optimize_scaled(constraints, tables, PhasePlan.hybrid().truncate(g))
+                    changes = [after - before for after, before in zip(result.allocation.capacities, baseline)]
+                    assert any(changes) and all(c % g == 0 for c in changes), (seed, g, z, changes)
 
     def test_rejects_bad_plans(self):
         with pytest.raises(ValidationError):
@@ -32,6 +50,11 @@ class TestPhasePlan:
             PhasePlan(())
         with pytest.raises(ValidationError):
             PhasePlan((0,))
+        for stride in (2.0, True, 1.5):
+            with pytest.raises(ValidationError):
+                PhasePlan((stride,))
+        with pytest.raises(ValidationError):
+            PhasePlan((4, 2.0))
 
 
 class TestScaledUnconstrained:
@@ -191,8 +214,8 @@ def relocations(result, n):
 
 
 class TestScaledLog:
-    """Under a cap every phase restarts from the baseline, so the log holds
-    the moves of the last phase only."""
+    """Under a cap only the plan's last stride runs, from the baseline, so
+    the log holds that stride's moves and ``phases`` that one stride."""
 
     def test_capped_stride_one_plans_log_greedy_moves(self):
         for case in range(30):
@@ -219,14 +242,19 @@ class TestScaledLog:
                 PhasePlan((4,)),
                 PhasePlan((2,)),
                 PhasePlan((3, 1)),
+                PhasePlan((4, 2)),
+                PhasePlan((6, 3)),
             )
             for z in (0, 1, 2, 3, 5, 8):
                 constraints = dataclasses.replace(spec.constraints(), max_moves=z)
                 for plan in plans:
                     scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=0.0)
                     last = plan.step_sizes[-1]
+                    alone = optimize_scaled(constraints, tables, PhasePlan((last,)), improvement_threshold=0.0)
+                    assert scaled == alone, (case, z, plan.step_sizes)
+                    assert len(scaled.phases) == 1
                     assert relocations(scaled, len(tables)) <= z // last, (case, z, plan.step_sizes)
-                    assert scaled.phases[-1].iterations == relocations(scaled, len(tables))
+                    assert scaled.phases[0].iterations == relocations(scaled, len(tables))
 
     def test_two_station_swing_logs_greedy_moves(self):
         # station a empties in the morning and fills at night; b barely moves
