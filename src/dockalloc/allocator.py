@@ -148,19 +148,25 @@ class Constraints:
                 bike_budget=self.bike_budget,
                 current_bikes=sum(self.baseline_bikes),
             )
-        if self.max_moves is not None and self.max_moves < 0:
-            raise ValidationError(f"max_moves must be non-negative, got {self.max_moves}")
-        if self.tradeoff is not None:
-            k, m = self.tradeoff
-            if int(k) != k or int(m) != m or k < 1 or m < 0:
-                raise ValidationError(f"tradeoff must be integers (unit_cost >= 1, joint_budget >= 0), got {self.tradeoff}")
+        # an int and not a bool, as for PhasePlan strides: budgets slice move lists
+        if self.max_moves is not None and (type(self.max_moves) is not int or self.max_moves < 0):
+            raise ValidationError(f"max_moves must be a non-negative integer, got {self.max_moves}")
+        if self.tradeoff is not None and not (
+            len(self.tradeoff) == 2
+            and all(type(v) is int for v in self.tradeoff)
+            and self.tradeoff[0] >= 1
+            and self.tradeoff[1] >= 0
+        ):
+            raise ValidationError(f"tradeoff must be integers (unit_cost >= 1, joint_budget >= 0), got {self.tradeoff}")
 
 
 @dataclass(frozen=True)
 class PhaseStats:
     """One stride of the descent that reached the chosen state: its moves,
     the bikes it placed or moved at its start, and its cost evaluations
-    grouped by station capacity.  The surplus deployment is not a phase."""
+    grouped by station capacity.  Under a cap the chosen moves are a prefix
+    of one run that serves every move budget, and the evaluations count
+    that whole run.  The surplus deployment is not a phase."""
 
     step: int
     iterations: int
@@ -491,23 +497,33 @@ def _run_additions(
     return start, engine.run(max_iterations=extra, from_station=depot)
 
 
-def _unit_descent(sources, lower, upper, docks, bikes, threshold, max_budget):
-    """The plain descent: one unit-stride run from the bike-optimal
-    baseline.  By prefix optimality, the state for budget ``t`` is the one
-    after its first ``t`` moves."""
+def _stride_descent(sources, lower, upper, docks, bikes, threshold, max_budget, step=1):
+    """The plain descent at stride ``step``: one run of ``max_budget //
+    step`` moves of ``step`` docks each.  It starts by placing the bikes:
+    ``bike_optimal`` at stride 1, pairwise stride-``step`` bike moves above.
+    The state for budget ``t`` is the one after the run's first ``t //
+    step`` moves (at stride 1, by prefix optimality, the best within ``t``
+    moves), so one run serves every budget, and its phase stats count the
+    evaluations of the whole run."""
     tally: dict[int, int] = {}
     counted = [CountingSource(s, tally) for s in sources]
-    start = bike_optimal([d + b for d, b in zip(docks, bikes)], sum(bikes), counted)
-    engine = _Descent(counted, lower, upper, start.empty_docks, start.bikes, threshold=threshold)
+    if step == 1:
+        start = bike_optimal([d + b for d, b in zip(docks, bikes)], sum(bikes), counted)
+        docks, bikes, bike_moves = start.empty_docks, start.bikes, sum(start.bikes)
+    else:
+        pre = _Descent(counted, lower, upper, docks, bikes, stride=step, threshold=threshold)
+        bike_moves = pre.optimize_bikes_pairwise()
+        docks, bikes = pre.d, pre.b
+    engine = _Descent(counted, lower, upper, docks, bikes, stride=step, threshold=threshold)
     initial = engine.objective
-    applied = engine.run(max_iterations=max_budget)
+    applied = engine.run(max_iterations=None if max_budget is None else max_budget // step)
 
     def reach(budget: int | None):
-        moves = applied[:budget]
-        d, b = list(start.empty_docks), list(start.bikes)
+        moves = applied[: None if budget is None else budget // step]
+        d, b = list(docks), list(bikes)
         for move, _ in moves:
-            _shift(d, b, move, 1)
-        phase = PhaseStats(1, len(moves), sum(start.bikes), dict(sorted(tally.items())))
+            _shift(d, b, move, step)
+        phase = PhaseStats(step, len(moves), bike_moves, dict(sorted(tally.items())))
         return d, b, moves, (phase,)
 
     return initial, reach
@@ -615,7 +631,7 @@ def optimize(
     greedily out of the depot, each deployment consuming half a move of the
     operational budget.
     """
-    return _sweep(constraints, tables, _unit_descent, improvement_threshold)[0]
+    return _sweep(constraints, tables, _stride_descent, improvement_threshold)[0]
 
 
 def optimize_tradeoff(
@@ -635,7 +651,7 @@ def optimize_tradeoff(
     """
     if constraints.tradeoff is None:
         raise ValidationError("constraints.tradeoff must be set for optimize_tradeoff")
-    result, z, new = _sweep(constraints, tables, _unit_descent, improvement_threshold, constraints.tradeoff)
+    result, z, new = _sweep(constraints, tables, _stride_descent, improvement_threshold, constraints.tradeoff)
     return TradeoffResult(result=result, chosen_moves=z, chosen_new_docks=new)
 
 

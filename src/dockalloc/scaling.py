@@ -1,18 +1,19 @@
 """Scaled variants of the descent: move docks in large strides first.
 
 A phase with stride ``a`` only considers moves of ``a`` docks (and ``a``
-bikes) at a time; the cost grid restricted to an ``a``-spaced lattice keeps
-the second-difference structure, so each phase is the plain descent on a
-coarser problem.  Halving the stride phase by phase reaches the exact
-optimum in far fewer iterations than the unit-stride descent when budgets
-are large, and stopping before stride 1 yields allocations that move docks
-only in multiples of the last stride (useful when docks come in banks of
-four).
+bikes) at a time; it is ``allocator._stride_descent`` at that stride.
+Halving the stride phase by phase reaches the exact optimum in far fewer
+iterations than the unit-stride descent when budgets are large, and
+stopping before stride 1 yields allocations that move docks only in
+multiples of the last stride (useful when docks come in banks of four).
 
-Under a cap on moved docks only the plan's last stride runs: it starts
-from the baseline state and may make ``max_moves // stride`` moves.  A
-capped plan that ends at stride 1 thus logs the moves of the unit-stride
-descent.
+Without a cap the strides chain: each starts where the one before
+stopped.  Under a cap on moved docks only the plan's last stride runs: it
+starts from the baseline state and may make ``max_moves // stride``
+moves.  The tests check that it ends at the best allocation within that
+many moves whose capacities and bikes (the depot's included) lie on the
+baseline's stride lattice, and that a capped plan ending at stride 1 is
+the greedy descent, phase stats included.
 """
 
 from __future__ import annotations
@@ -23,16 +24,13 @@ from typing import Sequence
 
 from .allocator import (
     Constraints,
-    DockMove,
     OptimizeResult,
-    PhaseStats,
-    _Descent,
+    _stride_descent,
     _sweep,
-    bike_optimal,
     DEFAULT_IMPROVEMENT_THRESHOLD,
 )
 from .errors import ValidationError
-from .udf import CostSource, CountingSource, Number
+from .udf import CostSource
 
 @dataclass(frozen=True)
 class PhasePlan:
@@ -81,57 +79,28 @@ class PhasePlan:
         return PhasePlan(kept)
 
 
-def _cascade(
-    sources,
-    lower,
-    upper,
-    start_docks,
-    start_bikes,
-    plan: PhasePlan,
-    max_moves: int | None,
-    threshold: float,
-):
-    """Run the phase sequence from the start state; returns final state, log
-    and stats.  Under a cap only the last stride runs, with the budget
-    ``max_moves // step``: the cap counts docks moved from the baseline, so
-    a capped stride cannot start where an earlier one stopped."""
-    docks = list(start_docks)
-    bikes = list(start_bikes)
-    log: list[tuple[DockMove, Number]] = []
-    phases: list[PhaseStats] = []
-    for step in plan.step_sizes if max_moves is None else plan.step_sizes[-1:]:
-        tally: dict[int, int] = {}
-        counted = [CountingSource(s, tally) for s in sources]
-        if step == 1:
-            # exact bike re-optimization: take every bike out, add back greedily
-            alloc = bike_optimal([d + b for d, b in zip(docks, bikes)], sum(bikes), counted)
-            docks, bikes = list(alloc.empty_docks), list(alloc.bikes)
-            bike_moves = sum(bikes)
-        else:
-            pre = _Descent(counted, lower, upper, docks, bikes, stride=step, threshold=threshold)
-            bike_moves = pre.optimize_bikes_pairwise()
-            docks, bikes = list(pre.d), list(pre.b)
-        engine = _Descent(counted, lower, upper, docks, bikes, stride=step, threshold=threshold)
-        moves = engine.run(max_iterations=None if max_moves is None else max_moves // step)
-        docks, bikes = list(engine.d), list(engine.b)
-        log.extend(moves)
-        phases.append(
-            PhaseStats(
-                step=step,
-                iterations=len(moves),
-                bike_moves=bike_moves,
-                evaluations_by_capacity=dict(sorted(tally.items())),
-            )
-        )
-    return docks, bikes, log, tuple(phases)
-
-
 def _scaled_descent(plan: PhasePlan, sources, lower, upper, docks, bikes, threshold, max_budget):
-    """The stride cascade as the sweep's descent: it starts from the
-    baseline state itself and runs once per move budget."""
+    """The phase plan as the sweep's descent, reporting the as-is baseline
+    objective.  Under a cap only the last stride runs, from the baseline:
+    the cap counts docks moved from the baseline, so a capped stride cannot
+    start where an earlier one stopped.  Without a cap the earlier strides
+    run to a standstill, and their moves and phases come first."""
     n = len(sources) - 1
     initial = sum(sources[s].cost(docks[s], bikes[s]) for s in range(n))
-    return initial, partial(_cascade, sources, lower, upper, docks, bikes, plan, threshold=threshold)
+    *earlier, last = plan.step_sizes if max_budget is None else plan.step_sizes[-1:]
+    log, phases = [], ()
+    for step in earlier:
+        _, reach = _stride_descent(sources, lower, upper, docks, bikes, threshold, None, step)
+        docks, bikes, moves, done = reach(None)
+        log += moves
+        phases += done
+    _, reach = _stride_descent(sources, lower, upper, docks, bikes, threshold, max_budget, last)
+
+    def chained(budget: int | None):
+        d, b, moves, done = reach(budget)
+        return d, b, log + moves, phases + done
+
+    return initial, chained
 
 
 def optimize_scaled(
@@ -147,7 +116,10 @@ def optimize_scaled(
     finishes at stride 1.  Under a finite ``constraints.max_moves`` only the
     plan's last stride runs: it starts from the baseline state and makes at
     most ``max_moves // stride`` moves, each of ``stride`` docks, and
-    ``phases`` holds that one stride.  Without a cap each phase starts where
+    ``phases`` holds that one stride.  That stride runs once and every move
+    budget of the sweep reads a prefix of it; a plan that ends at stride 1
+    returns greedy ``optimize``'s result but for ``initial_objective``,
+    which is the as-is baseline here.  Without a cap each phase starts where
     the one before stopped, and the log holds every phase's moves.  The
     default plan is powers of two up to the dock budget.
     """

@@ -166,14 +166,14 @@ def _check_solver_agreement(seed: int, instances: int) -> dict:
                 relocations = sum(entry.move.i != len(tables) for entry in scaled.log)
                 if relocations > z // last:
                     failures.append(f"capped case {case} z={z} plan {plan.step_sizes}: {relocations} moves logged")
-                if last == 1 and scaled.log != greedy.log:
-                    failures.append(f"capped case {case} z={z} plan {plan.step_sizes}: log differs from greedy")
+                if last == 1 and (scaled.log, scaled.phases) != (greedy.log, greedy.phases):
+                    failures.append(f"capped case {case} z={z} plan {plan.step_sizes}: log or phases differ from greedy")
     return {
         "name": "scaled_solvers_match_greedy",
         "passed": not failures,
         "details": failures
         or f"{instances} instances agree across plans; {capped} capped plans equal their last stride alone, "
-        "log at most z // last stride moves, and greedy's own when the last stride is 1",
+        "log at most z // last stride moves, and greedy's own log and phases when the last stride is 1",
     }
 
 

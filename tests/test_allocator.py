@@ -13,7 +13,7 @@ from dockalloc.allocator import (
     OptimizeResult,
     _Descent,
     _extended_problem,
-    _unit_descent,
+    _stride_descent,
     best_move,
     bike_optimal,
     dock_move_distance,
@@ -489,7 +489,7 @@ class TestSweepMatchesPerCandidateReference:
                 constraints = dataclasses.replace(spec.constraints(), max_moves=z)
                 for threshold in (0.0, DEFAULT_IMPROVEMENT_THRESHOLD):
                     result = optimize(constraints, tables, improvement_threshold=threshold)
-                    assert result == reference_sweep(constraints, tables, _unit_descent, threshold)[0], (case, z)
+                    assert result == reference_sweep(constraints, tables, _stride_descent, threshold)[0], (case, z)
                     for plan in (PhasePlan.hybrid(), PhasePlan.powers_of_two(spec.dock_budget)):
                         scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=threshold)
                         descend = partial(_scaled_descent, plan)
@@ -507,7 +507,7 @@ class TestSweepMatchesPerCandidateReference:
                 constraints = dataclasses.replace(spec.constraints(), tradeoff=(unit_cost, joint))
                 for threshold in (0.0, DEFAULT_IMPROVEMENT_THRESHOLD):
                     trade = optimize_tradeoff(constraints, tables, improvement_threshold=threshold)
-                    result, z, new = reference_sweep(constraints, tables, _unit_descent, threshold, (unit_cost, joint))
+                    result, z, new = reference_sweep(constraints, tables, _stride_descent, threshold, (unit_cost, joint))
                     assert (trade.result, trade.chosen_moves, trade.chosen_new_docks) == (result, z, new), case
                 trade = optimize_tradeoff(constraints, tables, improvement_threshold=0.0)
                 exact = brute_force_tradeoff(dataclasses.replace(spec, tradeoff=(unit_cost, joint)))[3]
@@ -527,3 +527,32 @@ class TestConstraints:
         with pytest.raises(InfeasibleError) as info:
             Constraints(0, 4, (1, 3), (0, 0), (2, 0), (3, 3)).validate(2)
         assert info.value.report["reason"] == "baseline capacity outside box bounds"
+
+    @pytest.mark.parametrize("solver", ["greedy", "scaled", "tradeoff"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_moves", 2.5),
+            ("max_moves", 2.0),
+            ("max_moves", float("nan")),
+            ("max_moves", float("inf")),
+            ("max_moves", True),
+            ("tradeoff", (1.0, 3)),
+            ("tradeoff", (True, 3)),
+            ("tradeoff", (1, 3.0)),
+            ("tradeoff", (1, float("nan"))),
+            ("tradeoff", (1,)),
+        ],
+    )
+    def test_move_budgets_must_be_integers(self, solver, field, value):
+        # every solver slices its move log by these budgets
+        spec = random_instance(philox(5, 1), n_max=4, budget_max=10, surplus=2)
+        constraints = dataclasses.replace(spec.constraints(), tradeoff=(1, 3) if solver == "tradeoff" else None)
+        constraints = dataclasses.replace(constraints, **{field: value})
+        run = {
+            "greedy": optimize,
+            "scaled": lambda c, t: optimize_scaled(c, t, PhasePlan.hybrid()),
+            "tradeoff": optimize_tradeoff,
+        }[solver]
+        with pytest.raises(ValidationError):
+            run(constraints, spec.tables())

@@ -44,6 +44,14 @@ def assert_granularity_run_moves_multiples(tmp_path, granularity):
     assert any(changes) and all(c % granularity == 0 for c in changes), changes
 
 
+def surplus_city(tmp_path):
+    """The 8-station city with 6 surplus docks, as an instance file."""
+    spec = synthetic_scenario(n_stations=8, seed=5, max_moves=None)
+    path = tmp_path / "surplus.json"
+    path.write_text(json.dumps(instance_to_json(dataclasses.replace(spec, dock_budget=spec.dock_budget + 6))))
+    return path
+
+
 class TestOptimizeCommand:
     def test_reference_instance_objective_in_report(self, tmp_path, trap_instance):
         out = tmp_path / "run"
@@ -72,9 +80,7 @@ class TestOptimizeCommand:
 
     def test_surplus_tradeoff_and_capped_runs_are_pinned(self, tmp_path):
         # the plans of the sweep that reran the surplus additions per candidate
-        spec = synthetic_scenario(n_stations=8, seed=5, max_moves=None)
-        path = tmp_path / "surplus.json"
-        path.write_text(json.dumps(instance_to_json(dataclasses.replace(spec, dock_budget=spec.dock_budget + 6))))
+        path = surplus_city(tmp_path)
         pinned = {
             ("--tradeoff", "1,8"): {
                 "objective": 496.45691595420465,
@@ -99,6 +105,17 @@ class TestOptimizeCommand:
             assert {key: report[key] for key in expected} == expected
             for name in ("allocation.json", "moves.csv", "curve.csv", "stats.json"):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_capped_hybrid_writes_greedy_plan_and_stats(self, tmp_path):
+        # a capped plan that ends at stride 1 is the unit-stride descent
+        path = surplus_city(tmp_path)
+        outs = {solver: tmp_path / solver for solver in ("greedy", "hybrid")}
+        for solver, out in outs.items():
+            assert run("optimize", "--instance", path, "--solver", solver, "--max-moves", 6, "--out", out) == 0
+        for name in ("moves.csv", "stats.json"):
+            assert (outs["hybrid"] / name).read_bytes() == (outs["greedy"] / name).read_bytes(), name
+        greedy, hybrid = (read_json(out / "allocation.json") for out in outs.values())
+        assert {key for key in greedy if greedy[key] != hybrid[key]} <= {"solver", "initial_objective"}
 
     def test_solver_variants_agree_on_objective(self, tmp_path, trap_instance):
         values = {}

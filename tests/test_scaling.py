@@ -100,41 +100,51 @@ class TestScaledUnconstrained:
         assert all(ph.evaluations_by_capacity for ph in scaled.phases)
 
     def test_stride_lattice_optimality_per_phase(self):
-        # one stride-2 phase ends at the best allocation whose docks AND
-        # bikes each differ from the baseline by multiples of 2
-        from itertools import product
-
-        from dockalloc.oracle import _capacity_vectors
-
-        for case in range(8):
-            rng = philox(89, case)
-            spec = random_instance(rng, n_max=3, budget_max=8)
-            plan = PhasePlan((2,))
-            scaled = optimize_scaled(spec.constraints(), spec.tables(), plan, improvement_threshold=0.0)
+        # a lone stride-g phase ends at the best allocation whose docks AND
+        # bikes each differ from the baseline by multiples of g; under a cap
+        # of z its z // g moves reach the best one within dock distance
+        # 2 * g * (z // g), since it starts at the baseline
+        specs = [random_instance(philox(89, case), n_max=3, budget_max=8) for case in range(8)]
+        specs += [random_instance(philox(89, case), n_max=4, budget_max=12) for case in range(12)]
+        for case, spec in enumerate(specs):
             constraints = spec.constraints()
-            baseline_caps = constraints.baseline_capacities
-            baseline_bikes = constraints.baseline_bikes
-            caps = scaled.allocation.capacities
-            assert all((c - b) % 2 == 0 for c, b in zip(caps, baseline_caps))
-            assert all((x - y) % 2 == 0 for x, y in zip(scaled.allocation.bikes, baseline_bikes))
+            for g in (2, 3):
+                lattice = stride_lattice(spec, g)
+                for z in (None, 0, 1, 2, 3, 4, 6, 9):
+                    capped = dataclasses.replace(constraints, max_moves=z)
+                    scaled = optimize_scaled(capped, spec.tables(), PhasePlan((g,)), improvement_threshold=0.0)
+                    caps = scaled.allocation.capacities
+                    assert all((c - b) % g == 0 for c, b in zip(caps, constraints.baseline_capacities))
+                    assert all((x - y) % g == 0 for x, y in zip(scaled.allocation.bikes, constraints.baseline_bikes))
+                    reach = None if z is None else 2 * g * (z // g)
+                    best = min(value for distance, value in lattice if reach is None or distance <= reach)
+                    assert scaled.objective == best, (case, g, z)
 
-            tables = spec.tables()
-            best = None
-            for vec in _capacity_vectors(constraints.lower, constraints.upper, spec.dock_budget):
-                if any((c - b) % 2 for c, b in zip(vec, baseline_caps)):
-                    continue
-                lattices = [
-                    [b for b in range(base % 2, cap + 1, 2)]
-                    for base, cap in zip(baseline_bikes, vec)
-                ]
-                for bikes in product(*lattices):
-                    if sum(bikes) > spec.bike_budget:
-                        continue
-                    if (spec.bike_budget - sum(bikes)) % 2 != (spec.bike_budget - sum(baseline_bikes)) % 2:
-                        continue  # depot bikes must stay on the lattice too
-                    value = sum(t.cost(c - b, b) for t, c, b in zip(tables, vec, bikes))
-                    best = value if best is None else min(best, value)
-            assert scaled.objective <= best
+
+def stride_lattice(spec, g):
+    """(dock distance, objective) of every allocation whose capacities and
+    bikes, the depot's included, differ from the baseline by multiples of g."""
+    from itertools import product
+
+    from dockalloc.allocator import dock_move_distance
+    from dockalloc.oracle import _capacity_vectors
+
+    constraints = spec.constraints()
+    baseline_caps = constraints.baseline_capacities
+    baseline_bikes = constraints.baseline_bikes
+    depot = (spec.bike_budget - sum(baseline_bikes)) % g
+    tables = spec.tables()
+    out = []
+    for vec in _capacity_vectors(constraints.lower, constraints.upper, spec.dock_budget):
+        if any((c - b) % g for c, b in zip(vec, baseline_caps)):
+            continue
+        lattices = [range(base % g, cap + 1, g) for base, cap in zip(baseline_bikes, vec)]
+        for bikes in product(*lattices):
+            if sum(bikes) > spec.bike_budget or (spec.bike_budget - sum(bikes)) % g != depot:
+                continue
+            value = sum(t.cost(c - b, b) for t, c, b in zip(tables, vec, bikes))
+            out.append((dock_move_distance(vec, baseline_caps), value))
+    return out
 
 
 class TestScaledConstrained:
@@ -228,6 +238,9 @@ class TestScaledLog:
                 for plan in (PhasePlan.powers_of_two(spec.dock_budget), PhasePlan.hybrid()):
                     scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=0.0)
                     assert scaled.log == greedy.log, (case, z, plan.step_sizes)
+                    # phase stats included; only the reported start differs
+                    same = dataclasses.replace(scaled, initial_objective=greedy.initial_objective)
+                    assert same == greedy, (case, z, plan.step_sizes)
 
     def test_capped_plans_log_at_most_cap_over_last_stride(self):
         for case in range(30):
