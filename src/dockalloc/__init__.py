@@ -15,7 +15,6 @@ from .allocator import (
     OptimizeResult,
     PhaseStats,
     TradeoffResult,
-    best_move,
     bike_optimal,
     dock_move_distance,
     optimize,
@@ -59,10 +58,7 @@ from .scaling import PhasePlan, optimize_scaled, optimize_scaled_constrained
 from .udf import (
     CostTable,
     FiniteProfile,
-    IntervalResult,
     LazyDailyCost,
-    SequenceState,
-    Violation,
     check_multimodular,
     cost_table_from_finite,
     count_stockouts,

@@ -9,6 +9,11 @@ current allocation yields, after any number of iterations ``t``, the best
 allocation reachable by moving at most ``t`` docks, so a cap on moved docks
 is enforced simply by capping iterations.
 
+Every move is the sum of per-station side effects (an empty dock lost, a
+full one gained, a bike handed over, ...).  ``_KINDS`` defines the four
+moves once as those sides; the search, its state updates and the log
+replays all read that table.
+
 Budget inequalities are turned into equalities with an internal zero-cost
 depot station that absorbs bike slack and holds not-yet-deployed dock
 inventory; depot capacity changes never count toward the moved-dock bound.
@@ -26,7 +31,19 @@ from .udf import CostSource, CountingSource, Number, ZeroCost
 
 DEFAULT_IMPROVEMENT_THRESHOLD = 1e-11
 
-KIND_RANK = {"o": 0, "e": 1, "E": 2, "O": 3}
+# The six per-station side effects a move is the sum of, as (change in
+# open docks, change in bikes) per unit of stride.
+_SIDES = _LOSE_EMPTY, _LOSE_FULL, _GAIN_EMPTY, _GAIN_FULL, _GIVE_BIKE, _TAKE_BIKE = (
+    (-1, 0), (0, -1), (1, 0), (0, 1), (1, -1), (-1, 1)
+)
+# The four dock moves: their sides at i, j and h, in tie-break rank order.
+_KINDS = {
+    "o": (_LOSE_EMPTY, _GAIN_EMPTY),  # an empty dock moves from i to j
+    "e": (_LOSE_FULL, _GAIN_FULL),  # a dock moves from i to j with its bike
+    "E": (_LOSE_EMPTY, _GAIN_FULL, _GIVE_BIKE),  # an empty dock leaves i; h's bike fills it at j
+    "O": (_LOSE_FULL, _GAIN_EMPTY, _TAKE_BIKE),  # a full dock leaves i; its bike goes to h
+}
+KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,8 @@ class Constraints:
         return tuple(d + b for d, b in zip(self.baseline_docks, self.baseline_bikes))
 
     def validate(self, n: int) -> None:
+        # counts are ints and not bools (nor floats or numpy integers), as
+        # for PhasePlan strides: the descent moves whole docks and bikes
         for name, vec in (
             ("baseline_docks", self.baseline_docks),
             ("baseline_bikes", self.baseline_bikes),
@@ -106,8 +125,13 @@ class Constraints:
         ):
             if len(vec) != n:
                 raise ValidationError(f"{name} has length {len(vec)}, expected {n}")
+            if any(type(v) is not int for v in vec):
+                raise ValidationError(f"{name} must hold integers, got {vec}")
             if any(v < 0 for v in vec):
                 raise ValidationError(f"{name} must be non-negative")
+        for name, budget in (("bike budget", self.bike_budget), ("dock budget", self.dock_budget)):
+            if type(budget) is not int:
+                raise ValidationError(f"{name} must be an integer, got {budget!r}")
         if self.bike_budget < 0:
             raise ValidationError(f"bike budget must be non-negative, got {self.bike_budget}")
         if self.dock_budget < self.bike_budget:
@@ -148,7 +172,7 @@ class Constraints:
                 bike_budget=self.bike_budget,
                 current_bikes=sum(self.baseline_bikes),
             )
-        # an int and not a bool, as for PhasePlan strides: budgets slice move lists
+        # budgets slice move lists
         if self.max_moves is not None and (type(self.max_moves) is not int or self.max_moves < 0):
             raise ValidationError(f"max_moves must be a non-negative integer, got {self.max_moves}")
         if self.tradeoff is not None and not (
@@ -233,46 +257,29 @@ def bike_optimal(
     return Allocation(docks, tuple(bikes))
 
 
-# Per-station one-sided effects a move is assembled from.
-_REMOVE_EMPTY = "RE"
-_REMOVE_FULL = "RF"
-_ADD_EMPTY = "AE"
-_ADD_FULL = "AF"
-_REMOVE_BIKE = "RB"
-_ADD_BIKE = "AB"
-_SIDES = (_REMOVE_EMPTY, _REMOVE_FULL, _ADD_EMPTY, _ADD_FULL, _REMOVE_BIKE, _ADD_BIKE)
+def _shift(d: list[int], b: list[int], stations, sides, a: int) -> None:
+    """Apply each side effect, ``a`` units of it, at its station in place;
+    ``zip`` drops the unused ``h`` of an o or e move."""
+    for s, (dd, db) in zip(stations, sides):
+        d[s] += a * dd
+        b[s] += a * db
 
 
-def _shift(d: list[int], b: list[int], move: DockMove, a: int) -> None:
-    """Apply ``move`` with stride ``a`` to the dock and bike lists in place."""
-    i, j, h = move.i, move.j, move.h
-    if move.kind == "o":
-        d[i] -= a
-        d[j] += a
-    elif move.kind == "e":
-        b[i] -= a
-        b[j] += a
-    elif move.kind == "E":
-        d[i] -= a
-        d[h] += a
-        b[h] -= a
-        b[j] += a
-    elif move.kind == "O":
-        b[i] -= a
-        d[j] += a
-        d[h] -= a
-        b[h] += a
-    else:
-        raise AssertionError(move.kind)
+def _replay(d: list[int], b: list[int], moves, a: int) -> None:
+    """Apply each logged ``(move, objective)`` at stride ``a`` in place."""
+    for move, _ in moves:
+        _shift(d, b, (move.i, move.j, move.h), _KINDS[move.kind], a)
 
 
 class _Descent:
     """Best-move search over the four dock-move kinds via six side heaps.
 
-    Each heap ranks stations by the cost change of one side effect (losing
-    an empty dock, gaining a full one, ...).  Entries carry a version stamp;
-    stale entries are discarded lazily when popped, and only stations
-    touched by a move are re-pushed.
+    A move is the sum of its per-station side effects, read from
+    ``_KINDS``.  Each side heap ranks stations by the cost change of one
+    side effect (losing an empty dock, gaining a full one, ...), so a
+    kind's best move pairs a few top entries of its sides' heaps.  Entries
+    carry a version stamp; stale entries are discarded lazily when popped,
+    and only stations touched by a move are re-priced.
     """
 
     def __init__(
@@ -293,54 +300,32 @@ class _Descent:
         self.d = list(docks)
         self.b = list(bikes)
         self.stride = stride
+        self.steps = [(side, stride * side[0], stride * side[1]) for side in _SIDES]
         self.threshold = threshold
         self.version = [0] * self.n
-        self.heaps: dict[str, list[tuple[Number, int, int]]] = {k: [] for k in _SIDES}
-        self.objective: Number = sum(self.sources[s].cost(self.d[s], self.b[s]) for s in range(self.n))
-        for s in range(self.n):
-            self._push_station(s)
+        self.heaps: dict[tuple[int, int], list[tuple[Number, int, int]]] = {side: [] for side in _SIDES}
+        self.sides: list[dict[tuple[int, int], Number]] = [{} for _ in range(self.n)]
+        self.objective: Number = sum(self._price(s) for s in range(self.n))
 
-    def _side_delta(self, s: int, side: str) -> Number | None:
-        """Cost change of the side effect at station ``s``, or None if the
-        state or box bounds forbid it."""
-        a = self.stride
-        d, b = self.d[s], self.b[s]
-        cap = d + b
+    def _price(self, s: int) -> Number:
+        """Price every side effect station ``s`` allows and push it; returns
+        the station's current cost.  A side is allowed when it leaves the
+        state non-negative and the capacity within the box bounds.  That
+        presumes the current capacity is within them, which holds on every
+        run: ``Constraints.validate`` checks it at the baseline, and no
+        allowed side leaves the bounds."""
+        d, b, lower, upper, v = self.d[s], self.b[s], self.lower[s], self.upper[s], self.version[s]
         cost = self.sources[s].cost
-        if side == _REMOVE_EMPTY:
-            if d < a or cap - a < self.lower[s]:
-                return None
-            return cost(d - a, b) - cost(d, b)
-        if side == _REMOVE_FULL:
-            if b < a or cap - a < self.lower[s]:
-                return None
-            return cost(d, b - a) - cost(d, b)
-        if side == _ADD_EMPTY:
-            if cap + a > self.upper[s]:
-                return None
-            return cost(d + a, b) - cost(d, b)
-        if side == _ADD_FULL:
-            if cap + a > self.upper[s]:
-                return None
-            return cost(d, b + a) - cost(d, b)
-        if side == _REMOVE_BIKE:
-            if b < a:
-                return None
-            return cost(d + a, b - a) - cost(d, b)
-        if side == _ADD_BIKE:
-            if d < a:
-                return None
-            return cost(d - a, b + a) - cost(d, b)
-        raise AssertionError(side)
-
-    def _push_station(self, s: int) -> None:
-        v = self.version[s]
-        for side in _SIDES:
-            delta = self._side_delta(s, side)
-            if delta is not None:
+        here = cost(d, b)
+        priced = self.sides[s] = {}
+        for side, dd, db in self.steps:
+            nd, nb = d + dd, b + db
+            if nd >= 0 and nb >= 0 and lower <= nd + nb <= upper:
+                priced[side] = delta = cost(nd, nb) - here
                 heapq.heappush(self.heaps[side], (delta, s, v))
+        return here
 
-    def _top(self, side: str, k: int) -> list[tuple[Number, int]]:
+    def _top(self, side: tuple[int, int], k: int) -> list[tuple[Number, int]]:
         """The ``k`` best current entries of a side heap (lazy deletion)."""
         heap = self.heaps[side]
         found: list[tuple[Number, int, int]] = []
@@ -352,92 +337,64 @@ class _Descent:
             heapq.heappush(heap, entry)
         return [(delta, s) for delta, s, _ in found]
 
-    def _station_entry(self, s: int, side: str) -> list[tuple[Number, int]]:
-        delta = self._side_delta(s, side)
-        return [] if delta is None else [(delta, s)]
-
     def best_move(self, from_station: int | None = None) -> DockMove | None:
         """Most improving feasible move, or None.  Ties break on the lowest
-        (kind, i, j, h).  ``from_station`` restricts the dock-losing side."""
-        if from_station is None:
-            remove_empty = self._top(_REMOVE_EMPTY, 3)
-            remove_full = self._top(_REMOVE_FULL, 3)
-        else:
-            remove_empty = self._station_entry(from_station, _REMOVE_EMPTY)
-            remove_full = self._station_entry(from_station, _REMOVE_FULL)
-        add_empty = self._top(_ADD_EMPTY, 3)
-        add_full = self._top(_ADD_FULL, 3)
-        remove_bike = self._top(_REMOVE_BIKE, 3)
-        add_bike = self._top(_ADD_BIKE, 3)
+        (kind, i, j, h).  ``from_station`` restricts the dock-losing side.
 
-        best: tuple | None = None
-
-        def consider(kind: str, i: int, j: int, h: int | None, delta: Number) -> None:
-            nonlocal best
-            key = (delta, KIND_RANK[kind], i, j, -1 if h is None else h)
-            if best is None or key < best[0]:
-                best = (key, DockMove(kind, i, j, h, delta))
-
-        for di, i in remove_empty:
-            for dj, j in add_empty:
-                if i != j:
-                    consider("o", i, j, None, di + dj)
-            for dj, j in add_full:
-                if i == j:
-                    continue
-                for dh, h in remove_bike:
-                    if h != i and h != j:
-                        consider("E", i, j, h, di + dj + dh)
-        for di, i in remove_full:
-            for dj, j in add_full:
-                if i != j:
-                    consider("e", i, j, None, di + dj)
-            for dj, j in add_empty:
-                if i == j:
-                    continue
-                for dh, h in add_bike:
-                    if h != i and h != j:
-                        consider("O", i, j, h, di + dj + dh)
-
-        if best is None or not best[1].delta < -self.threshold:
+        A move's stations are distinct, so each of its three roles needs
+        only its side's top 3 stations.  The key is (delta, rank, i, j) or,
+        with a third station, (delta, rank, i, j, h), the delta summed in
+        that station order."""
+        tops = {}
+        for side in _SIDES:
+            if from_station is not None and sum(side) < 0:  # a dock-losing side
+                own = self.sides[from_station]
+                tops[side] = [(own[side], from_station)] if side in own else []
+            else:
+                tops[side] = self._top(side, 3)
+        best = None
+        for rank, (kind, sides) in enumerate(_KINDS.items()):
+            firsts, seconds, *third = [tops[side] for side in sides]
+            for di, i in firsts:
+                for dj, j in seconds:
+                    if i == j:
+                        continue
+                    if not third:
+                        key = (di + dj, rank, i, j)
+                        if best is None or key < best[0]:
+                            best = (key, kind)
+                        continue
+                    for dh, h in third[0]:
+                        if h != i and h != j:
+                            key = (di + dj + dh, rank, i, j, h)
+                            if best is None or key < best[0]:
+                                best = (key, kind)
+        if best is None or not best[0][0] < -self.threshold:
             return None
-        return best[1]
+        (delta, _, i, j, *h), kind = best
+        return DockMove(kind, i, j, h[0] if h else None, delta)
+
+    def _step(self, stations, sides, delta: Number) -> None:
+        _shift(self.d, self.b, stations, sides, self.stride)
+        self.objective = self.objective + delta
+        for s, _ in zip(stations, sides):
+            self.version[s] += 1
+            self._price(s)
 
     def apply(self, move: DockMove) -> None:
-        _shift(self.d, self.b, move, self.stride)
-        i, j, h = move.i, move.j, move.h
-        self.objective = self.objective + move.delta
-        for s in {i, j} | ({h} if h is not None else set()):
-            self.version[s] += 1
-            self._push_station(s)
+        self._step((move.i, move.j, move.h), _KINDS[move.kind], move.delta)
 
     def optimize_bikes_pairwise(self) -> int:
         """Move ``stride`` bikes between station pairs while it helps; used
         to restore bike-optimality on the stride lattice at phase starts."""
         count = 0
         while True:
-            givers = self._top(_REMOVE_BIKE, 2)
-            takers = self._top(_ADD_BIKE, 2)
-            best = None
-            for dg, g in givers:
-                for dt, t in takers:
-                    if g == t:
-                        continue
-                    key = (dg + dt, g, t)
-                    if best is None or key < best:
-                        best = key
-            if best is None or not best[0] < -self.threshold:
+            givers, takers = self._top(_GIVE_BIKE, 2), self._top(_TAKE_BIKE, 2)
+            pairs = [(dg + dt, g, t) for dg, g in givers for dt, t in takers if g != t]
+            if not pairs or not min(pairs)[0] < -self.threshold:
                 return count
-            delta, g, t = best
-            a = self.stride
-            self.d[g] += a
-            self.b[g] -= a
-            self.d[t] -= a
-            self.b[t] += a
-            self.objective = self.objective + delta
-            for s in (g, t):
-                self.version[s] += 1
-                self._push_station(s)
+            delta, g, t = min(pairs)
+            self._step((g, t), (_GIVE_BIKE, _TAKE_BIKE), delta)
             count += 1
 
     def run(
@@ -521,8 +478,7 @@ def _stride_descent(sources, lower, upper, docks, bikes, threshold, max_budget, 
     def reach(budget: int | None):
         moves = applied[: None if budget is None else budget // step]
         d, b = list(docks), list(bikes)
-        for move, _ in moves:
-            _shift(d, b, move, step)
+        _replay(d, b, moves, step)
         phase = PhaseStats(step, len(moves), bike_moves, dict(sorted(tally.items())))
         return d, b, moves, (phase,)
 
@@ -599,8 +555,7 @@ def _sweep(
 
     _, z, new, docks, bikes, moves, additions, phases = best
     # replayed without the depot's stock: its dock count is not reported
-    for move, _ in additions:
-        _shift(docks, bikes, move, 1)
+    _replay(docks, bikes, additions, 1)
     station_costs = tuple(sources[s].cost(docks[s], bikes[s]) for s in range(n))
     result = OptimizeResult(
         allocation=Allocation(tuple(docks[:n]), tuple(bikes[:n])),
@@ -653,77 +608,3 @@ def optimize_tradeoff(
         raise ValidationError("constraints.tradeoff must be set for optimize_tradeoff")
     result, z, new = _sweep(constraints, tables, _stride_descent, improvement_threshold, constraints.tradeoff)
     return TradeoffResult(result=result, chosen_moves=z, chosen_new_docks=new)
-
-
-def enumerate_moves(
-    sources: Sequence[CostSource],
-    lower: Sequence[int],
-    upper: Sequence[int],
-    docks: Sequence[int],
-    bikes: Sequence[int],
-    *,
-    stride: int = 1,
-) -> list[DockMove]:
-    """All feasible moves with their deltas, by direct O(n^3) enumeration.
-
-    Reference implementation used to cross-check the heap-based search."""
-    eng = _Descent(sources, lower, upper, docks, bikes, stride=stride, threshold=float("inf"))
-    out: list[DockMove] = []
-    n = len(sources)
-    sides = {
-        side: {s: eng._side_delta(s, side) for s in range(n)}
-        for side in _SIDES
-    }
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if sides[_REMOVE_EMPTY][i] is not None and sides[_ADD_EMPTY][j] is not None:
-                out.append(DockMove("o", i, j, None, sides[_REMOVE_EMPTY][i] + sides[_ADD_EMPTY][j]))
-            if sides[_REMOVE_FULL][i] is not None and sides[_ADD_FULL][j] is not None:
-                out.append(DockMove("e", i, j, None, sides[_REMOVE_FULL][i] + sides[_ADD_FULL][j]))
-            for h in range(n):
-                if h in (i, j):
-                    continue
-                if (
-                    sides[_REMOVE_EMPTY][i] is not None
-                    and sides[_ADD_FULL][j] is not None
-                    and sides[_REMOVE_BIKE][h] is not None
-                ):
-                    out.append(
-                        DockMove("E", i, j, h, sides[_REMOVE_EMPTY][i] + sides[_ADD_FULL][j] + sides[_REMOVE_BIKE][h])
-                    )
-                if (
-                    sides[_REMOVE_FULL][i] is not None
-                    and sides[_ADD_EMPTY][j] is not None
-                    and sides[_ADD_BIKE][h] is not None
-                ):
-                    out.append(
-                        DockMove("O", i, j, h, sides[_REMOVE_FULL][i] + sides[_ADD_EMPTY][j] + sides[_ADD_BIKE][h])
-                    )
-    return out
-
-
-def best_move(
-    constraints: Constraints,
-    tables: Sequence[CostSource],
-    allocation: Allocation,
-    *,
-    improvement_threshold: float = DEFAULT_IMPROVEMENT_THRESHOLD,
-) -> DockMove | None:
-    """Best single dock-move from a bike-optimal allocation, or None.
-
-    The depot is appended as in ``optimize``; indices in the returned move
-    refer to the input stations, with ``len(tables)`` standing for the
-    depot."""
-    n = len(tables)
-    sources, lower, upper, _ = _extended_problem(constraints, tables)
-    docks = list(allocation.empty_docks)
-    bikes = list(allocation.bikes)
-    depot_bikes = constraints.bike_budget - sum(bikes)
-    if depot_bikes < 0:
-        raise ValidationError("allocation places more bikes than the budget")
-    docks.append(constraints.bike_budget - depot_bikes)
-    bikes.append(depot_bikes)
-    engine = _Descent(sources, lower, upper, docks, bikes, threshold=improvement_threshold)
-    return engine.best_move()

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocator import Allocation, Constraints, dock_move_distance
+from .allocator import Allocation, Constraints, DockMove, dock_move_distance
 from .demand import PoissonProfile
 from .errors import CapacityLimitError, ValidationError, read_json, whole_number
 from .posterior import (
@@ -314,6 +314,49 @@ def brute_force_tradeoff(spec: InstanceSpec) -> tuple[int, int, Allocation, Numb
                 best = (value, new, z, Allocation(docks, bikes))
     value, new, z, alloc = best
     return new, z, alloc, value
+
+
+def enumerate_moves(
+    sources: Sequence[CostSource],
+    lower: Sequence[int],
+    upper: Sequence[int],
+    docks: Sequence[int],
+    bikes: Sequence[int],
+    *,
+    stride: int = 1,
+) -> list[DockMove]:
+    """Every feasible dock move from a state with its cost change, by direct
+    O(n^3) enumeration: the reference for the descent's heap search.
+
+    Each move shifts ``stride`` docks (and bikes) at two or three distinct
+    stations.  It is feasible when every station it touches keeps
+    non-negative docks and bikes and a capacity within its bounds, and its
+    change sums the stations' cost changes in i, j, h order."""
+    a, n = stride, len(sources)
+    out: list[DockMove] = []
+
+    def change(s: int, dd: int, db: int) -> Number | None:
+        d, b = docks[s] + dd, bikes[s] + db
+        if d < 0 or b < 0 or not lower[s] <= d + b <= upper[s]:
+            return None
+        return sources[s].cost(d, b) - sources[s].cost(docks[s], bikes[s])
+
+    def add(kind: str, i: int, j: int, h: int | None, *shifts: tuple[int, int, int]) -> None:
+        deltas = [change(*shift) for shift in shifts]
+        if not any(delta is None for delta in deltas):
+            out.append(DockMove(kind, i, j, h, sum(deltas[1:], deltas[0])))
+
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            add("o", i, j, None, (i, -a, 0), (j, a, 0))  # an empty dock moves
+            add("e", i, j, None, (i, 0, -a), (j, 0, a))  # a dock moves with its bike
+            for h in range(n):
+                if h not in (i, j):
+                    add("E", i, j, h, (i, -a, 0), (j, 0, a), (h, a, -a))  # h's bike fills the dock at j
+                    add("O", i, j, h, (i, 0, -a), (j, a, 0), (h, -a, a))  # i's bike goes to h
+    return out
 
 
 def simulate_cost(

@@ -14,10 +14,8 @@ from dockalloc.allocator import (
     _Descent,
     _extended_problem,
     _stride_descent,
-    best_move,
     bike_optimal,
     dock_move_distance,
-    enumerate_moves,
     optimize,
     optimize_tradeoff,
 )
@@ -26,6 +24,7 @@ from dockalloc.oracle import (
     brute_force_optimum,
     brute_force_tradeoff,
     counterexample_fixtures,
+    enumerate_moves,
     random_instance,
 )
 from dockalloc.scaling import PhasePlan, _scaled_descent, optimize_scaled
@@ -43,6 +42,19 @@ def flat_table(values_by_capacity, station_id="s"):
 
 def trap():
     return counterexample_fixtures()["exchange_trap"]
+
+
+def descent_at(constraints, tables, alloc, threshold=DEFAULT_IMPROVEMENT_THRESHOLD):
+    """The descent on the depot-extended problem from ``alloc``, the depot
+    holding the slack bikes."""
+    sources, lower, upper, _ = _extended_problem(constraints, tables)
+    slack = constraints.bike_budget - sum(alloc.bikes)
+    docks = alloc.empty_docks + (constraints.bike_budget - slack,)
+    return _Descent(sources, lower, upper, docks, alloc.bikes + (slack,), threshold=threshold)
+
+
+def move_key(m):
+    return (m.delta, KIND_RANK[m.kind], m.i, m.j, -1 if m.h is None else m.h)
 
 
 class TestBikeOptimal:
@@ -103,11 +115,11 @@ class TestBestMove:
             upper=(4, 4, 4),
         )
         alloc = Allocation((2, 2, 2), (0, 0, 0))
-        assert best_move(constraints, tables, alloc) is None
+        assert descent_at(constraints, tables, alloc).best_move() is None
 
     def test_reference_instance_single_move_reaches_optimum(self):
         spec, extras = trap()
-        move = best_move(spec.constraints(), spec.tables(), extras["stuck"], improvement_threshold=0.0)
+        move = descent_at(spec.constraints(), spec.tables(), extras["stuck"], threshold=0.0).best_move()
         assert move is not None
         assert move.delta == Fraction(-1, 2)
 
@@ -123,13 +135,13 @@ class TestBestMove:
             upper=(4, 4),
         )
         alloc = bike_optimal((1, 3), 2, [rentals, returns])
-        chosen = best_move(constraints, [rentals, returns], alloc, improvement_threshold=0.0)
         sources, lower, upper, _ = _extended_problem(constraints, [rentals, returns])
         docks = list(alloc.empty_docks) + [0]
         bikes = list(alloc.bikes) + [2 - sum(alloc.bikes)]
         docks[2] = 2 - bikes[2]
+        chosen = _Descent(sources, lower, upper, docks, bikes, threshold=0.0).best_move()
         all_moves = [m for m in enumerate_moves(sources, lower, upper, docks, bikes) if m.delta < 0]
-        expected = min(all_moves, key=lambda m: (m.delta, KIND_RANK[m.kind], m.i, m.j, -1 if m.h is None else m.h))
+        expected = min(all_moves, key=move_key)
         assert chosen is not None
         assert (chosen.kind, chosen.i, chosen.j, chosen.h, chosen.delta) == (
             expected.kind,
@@ -165,7 +177,10 @@ class TestBestMove:
                     break
                 engine.apply(move)
 
-    def test_heap_search_matches_enumeration_along_runs(self):
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_heap_search_matches_enumeration_along_runs(self, stride):
+        # from the start _stride_descent gives each stride: bike_optimal at
+        # stride 1, pairwise stride-sized bike moves above
         checked = 0
         for case in range(20):
             rng = philox(43, case)
@@ -173,28 +188,58 @@ class TestBestMove:
             constraints = spec.constraints()
             tables = spec.tables()
             sources, lower, upper, caps = _extended_problem(constraints, tables)
-            start = bike_optimal(caps, constraints.bike_budget, sources)
-            engine = _Descent(sources, lower, upper, start.empty_docks, start.bikes, threshold=0.0)
+            if stride == 1:
+                start = bike_optimal(caps, constraints.bike_budget, sources)
+                docks, bikes = start.empty_docks, start.bikes
+            else:
+                bikes = list(constraints.baseline_bikes) + [constraints.bike_budget - sum(constraints.baseline_bikes)]
+                pre = _Descent(sources, lower, upper, [c - b for c, b in zip(caps, bikes)], bikes, stride=stride)
+                pre.optimize_bikes_pairwise()
+                docks, bikes = pre.d, pre.b
+            engine = _Descent(sources, lower, upper, docks, bikes, stride=stride, threshold=0.0)
             while True:
                 move = engine.best_move()
-                improving = [m for m in enumerate_moves(sources, lower, upper, engine.d, engine.b) if m.delta < 0]
+                improving = [
+                    m
+                    for m in enumerate_moves(sources, lower, upper, engine.d, engine.b, stride=stride)
+                    if m.delta < 0
+                ]
                 checked += 1
                 if move is None:
                     assert not improving
                     break
-                expected = min(
-                    improving,
-                    key=lambda m: (m.delta, KIND_RANK[m.kind], m.i, m.j, -1 if m.h is None else m.h),
-                )
-                assert (move.delta, KIND_RANK[move.kind], move.i, move.j, move.h) == (
-                    expected.delta,
-                    KIND_RANK[expected.kind],
-                    expected.i,
-                    expected.j,
-                    expected.h,
-                )
+                assert move_key(move) == move_key(min(improving, key=move_key))
                 engine.apply(move)
         assert checked >= 20
+
+    def test_depot_search_matches_enumeration_along_additions(self):
+        # the surplus deployment: the depot stocked as _run_additions does,
+        # and only moves out of the depot
+        checked = 0
+        for case in range(20):
+            spec = random_instance(philox(47, case), surplus=3)
+            constraints = spec.constraints()
+            sources, lower, upper, caps = _extended_problem(constraints, spec.tables())
+            start = bike_optimal(caps, constraints.bike_budget, sources)
+            depot, extra = len(caps) - 1, constraints.dock_budget - sum(constraints.baseline_capacities)
+            docks, upper = list(start.empty_docks), list(upper)
+            docks[depot] += extra
+            upper[depot] += extra
+            engine = _Descent(sources, lower, upper, docks, start.bikes, threshold=0.0)
+            for _ in range(extra + 1):
+                move = engine.best_move(from_station=depot)
+                improving = [
+                    m for m in enumerate_moves(sources, lower, upper, engine.d, engine.b) if m.i == depot and m.delta < 0
+                ]
+                checked += 1
+                if move is None:
+                    assert not improving
+                    break
+                assert move_key(move) == move_key(min(improving, key=move_key))
+                engine.apply(move)
+            else:
+                raise AssertionError("the depot deployed more docks than its stock")
+        assert checked >= 40
 
 
 class TestOptimize:
@@ -556,3 +601,32 @@ class TestConstraints:
         }[solver]
         with pytest.raises(ValidationError):
             run(constraints, spec.tables())
+
+    @pytest.mark.parametrize("solver", ["greedy", "capped", "scaled"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dock_budget", 12.5),
+            ("dock_budget", 12.0),
+            ("bike_budget", 10.0),
+            ("bike_budget", True),
+            ("baseline_docks", (5.0, 4)),
+            ("baseline_bikes", (1, False)),
+            ("lower", (0.0, 1)),
+            ("upper", (7, 7.0)),
+        ],
+    )
+    def test_budgets_and_bounds_must_be_integers(self, solver, field, value):
+        # a float budget once ran uncapped but raised TypeError under a cap,
+        # and a bool budget ran as 0 or 1
+        spec = random_instance(philox(17, 3), n_max=4, budget_max=10, surplus=2)
+        constraints = spec.constraints()
+        assert (constraints.bike_budget, constraints.dock_budget) == (10, 12)
+        assert (constraints.baseline_docks, constraints.baseline_bikes) == ((5, 4), (1, 0))
+        assert (constraints.lower, constraints.upper) == ((0, 1), (7, 7))
+        constraints = dataclasses.replace(constraints, max_moves=2 if solver == "capped" else None, **{field: value})
+        run = optimize_scaled if solver == "scaled" else optimize
+        args = (PhasePlan((2,)),) if solver == "scaled" else ()
+        with pytest.raises(ValidationError):
+            run(constraints, spec.tables(), *args)
+
