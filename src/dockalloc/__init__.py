@@ -23,8 +23,6 @@ from .allocator import (
 from .demand import (
     Horizon,
     PoissonProfile,
-    StatusRecord,
-    TripRecord,
     estimate_rates,
     load_profiles,
     load_status_csv,
@@ -62,7 +60,6 @@ from .udf import (
     check_multimodular,
     cost_table_from_finite,
     count_stockouts,
-    expected_cost_finite,
     interval_cost_poisson,
     load_cost_table,
     save_cost_table,

@@ -100,6 +100,13 @@ def cmd_estimate(args) -> int:
     profiles = demand_mod.estimate_rates(trips, status, args.days, horizon)
     out = _outdir(args)
     demand_mod.save_profiles(out / "profiles.json", profiles, horizon, days=args.days)
+    stats_doc = {
+        "trips": len(trips),
+        "status_rows": len(status),
+        "trips_outside_horizon": demand_mod.trips_outside_horizon(trips, horizon),
+        "censored_fallback": sum(len(p.flags) for p in profiles),
+    }
+    _write_json(out / "stats.json", stats_doc)
     _write_manifest(
         out,
         "estimate",

@@ -17,6 +17,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import ValidationError, read_json, reading, whole_number
 
 RENTAL = "rental"
@@ -40,36 +42,36 @@ class Horizon:
             raise ValidationError(f"start_hour must lie in [0, 24), got {self.start_hour}")
 
 
-@dataclass(frozen=True)
-class TripRecord:
-    station_id: str
-    timestamp: float  # seconds since local midnight
-    kind: str  # "rental" | "return"
+@dataclass(frozen=True, eq=False)
+class Trips:
+    """Trip rows as columns. Row ``i`` is a ``kinds[kind[i]]`` trip at
+    station ``stations[station[i]]``, ``seconds[i]`` seconds after local
+    midnight."""
 
-    def validate(self) -> None:
-        if not 0 <= self.timestamp < 86400:
-            raise ValidationError(f"trip at station {self.station_id!r} has timestamp {self.timestamp} outside [0, 86400)")
-        if self.kind not in (RENTAL, RETURN):
-            raise ValidationError(f"trip at station {self.station_id!r} has unknown kind {self.kind!r}")
+    stations: tuple[str, ...]
+    station: np.ndarray  # index into ``stations``
+    seconds: np.ndarray  # float64
+    kinds: tuple[str, ...]
+    kind: np.ndarray  # index into ``kinds``
+
+    def __len__(self) -> int:
+        return len(self.seconds)
 
 
-@dataclass(frozen=True)
-class StatusRecord:
-    station_id: str
-    interval_index: int
-    minutes_nonempty: float
-    minutes_nonfull: float
+@dataclass(frozen=True, eq=False)
+class StatusRows:
+    """Station-status rows as columns: station ``stations[station[i]]`` was
+    non-empty for ``minutes_nonempty[i]`` and non-full for
+    ``minutes_nonfull[i]`` minutes of interval ``interval[i]`` of one day."""
 
-    def validate(self, horizon: Horizon) -> None:
-        if not 0 <= self.interval_index < horizon.intervals:
-            raise ValidationError(
-                f"status for station {self.station_id!r} has interval {self.interval_index} outside 0..{horizon.intervals - 1}"
-            )
-        for name, minutes in (("minutes_nonempty", self.minutes_nonempty), ("minutes_nonfull", self.minutes_nonfull)):
-            if not 0 <= minutes <= horizon.minutes_per_interval:
-                raise ValidationError(
-                    f"status for station {self.station_id!r} interval {self.interval_index} has {name}={minutes} outside [0, {horizon.minutes_per_interval}]"
-                )
+    stations: tuple[str, ...]
+    station: np.ndarray  # index into ``stations``
+    interval: np.ndarray  # int64; object for an integer past int64
+    minutes_nonempty: np.ndarray  # float64
+    minutes_nonfull: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.interval)
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,59 @@ DEFAULT_HORIZON = Horizon()
 CENSORED_FALLBACK_MINUTES = 1.0
 
 
+_SIDES = {RENTAL: 0, RETURN: 1}
+
+
+def _trip_intervals(trips: Trips, horizon: Horizon) -> np.ndarray:
+    """The interval of the horizon each trip falls in, as a float; a trip
+    outside the horizon gets a value outside ``0..intervals - 1``."""
+    return np.floor_divide(trips.seconds - horizon.start_hour * 3600.0, horizon.minutes_per_interval * 60.0)
+
+
+def trips_outside_horizon(trips: Trips, horizon: Horizon) -> int:
+    """How many trips fall before or after the horizon, which
+    ``estimate_rates`` leaves out of every count."""
+    index = _trip_intervals(trips, horizon)
+    return int(np.count_nonzero(~((0 <= index) & (index < horizon.intervals))))
+
+
+def _raise_first(faults) -> None:
+    """Raise the message of the first faulty row in file order. ``faults``
+    are ``(mask, message)`` pairs in the order a row is checked, where
+    ``message(i)`` describes the fault of row ``i``."""
+    rows = [int(mask.argmax()) for mask, _ in faults if mask.any()]
+    if rows:
+        row = min(rows)
+        raise ValidationError(next(message(row) for mask, message in faults if mask[row]))
+
+
+def _validate_status(status: StatusRows, horizon: Horizon) -> None:
+    n, limit = horizon.intervals, horizon.minutes_per_interval
+
+    def row(i):
+        return f"status for station {status.stations[status.station[i]]!r}"
+
+    def minutes_fault(name, minutes):
+        def message(i):
+            return f"{row(i)} interval {int(status.interval[i])} has {name}={float(minutes[i])} outside [0, {limit}]"
+
+        return ~((0 <= minutes) & (minutes <= limit)), message
+
+    _raise_first(
+        [
+            (
+                ~((0 <= status.interval) & (status.interval < n)),
+                lambda i: f"{row(i)} has interval {int(status.interval[i])} outside 0..{n - 1}",
+            ),
+            minutes_fault("minutes_nonempty", status.minutes_nonempty),
+            minutes_fault("minutes_nonfull", status.minutes_nonfull),
+        ]
+    )
+
+
 def estimate_rates(
-    trips: Sequence[TripRecord],
-    status: Sequence[StatusRecord],
+    trips: Trips,
+    status: StatusRows,
     days: int,
     horizon: Horizon = DEFAULT_HORIZON,
 ) -> list[PoissonProfile]:
@@ -125,61 +177,67 @@ def estimate_rates(
 
     ``days`` is the number of days the inputs span; it is recorded for
     provenance but the rates themselves use the raw aggregated minutes.
+    Trips outside the horizon count nowhere (``trips_outside_horizon``).
     Buckets with zero eligible minutes fall back to a one-minute denominator
-    and are flagged ``censored_fallback``.
+    and are flagged ``censored_fallback``.  A bad row raises for the first
+    one in file order: status rows, then trips, then trips at stations
+    without status.
     """
     horizon.validate()
     if days < 1:
         raise ValidationError(f"days must be >= 1, got {days}")
-    for rec in status:
-        rec.validate(horizon)
-    for trip in trips:
-        trip.validate()
+    _validate_status(status, horizon)
 
-    covered = {rec.station_id for rec in status}
-    for trip in trips:
-        if trip.station_id not in covered:
-            raise ValidationError(f"trip at station {trip.station_id!r} has no status coverage")
+    def trip_sid(i):
+        return trips.stations[trips.station[i]]
 
+    side = np.array([_SIDES.get(kind, -1) for kind in trips.kinds], dtype=np.intp)[trips.kind]
+    _raise_first(
+        [
+            (
+                ~((0 <= trips.seconds) & (trips.seconds < 86400)),
+                lambda i: f"trip at station {trip_sid(i)!r} has timestamp {float(trips.seconds[i])} outside [0, 86400)",
+            ),
+            (side < 0, lambda i: f"trip at station {trip_sid(i)!r} has unknown kind {trips.kinds[trips.kind[i]]!r}"),
+        ]
+    )
+
+    covered = sorted({status.stations[code] for code in np.unique(status.station).tolist()})
+    position = {sid: p for p, sid in enumerate(covered)}
+    trip_profile = np.array([position.get(sid, -1) for sid in trips.stations], dtype=np.intp)[trips.station]
+    _raise_first([(trip_profile < 0, lambda i: f"trip at station {trip_sid(i)!r} has no status coverage")])
+
+    # One bucket per (station, side, interval); weighted bincount adds in
+    # row order, so each bucket's minutes are summed in file order.
     n = horizon.intervals
-    seconds_per_interval = horizon.minutes_per_interval * 60.0
-    start_second = horizon.start_hour * 3600.0
+    buckets = len(covered) * 2 * n
+    index = _trip_intervals(trips, horizon)
+    inside = (0 <= index) & (index < n)
+    counts = np.bincount(
+        ((trip_profile * 2 + side) * n)[inside] + index[inside].astype(np.intp), minlength=buckets
+    ).reshape(-1, 2, n)
+    status_profile = np.array([position.get(sid, -1) for sid in status.stations], dtype=np.intp)[status.station]
+    nonempty = status_profile * 2 * n + status.interval.astype(np.intp)
+    minutes = np.bincount(
+        np.concatenate([nonempty, nonempty + n]),
+        np.concatenate([status.minutes_nonempty, status.minutes_nonfull]),
+        minlength=buckets,
+    ).reshape(-1, 2, n)
 
-    counts: dict[str, list[list[int]]] = {sid: [[0] * n, [0] * n] for sid in covered}
-    minutes: dict[str, list[list[float]]] = {sid: [[0.0] * n, [0.0] * n] for sid in covered}
-
-    for trip in trips:
-        idx = int((trip.timestamp - start_second) // seconds_per_interval)
-        if not 0 <= idx < n:
-            continue  # outside the configured horizon
-        counts[trip.station_id][0 if trip.kind == RENTAL else 1][idx] += 1
-    for rec in status:
-        minutes[rec.station_id][0][rec.interval_index] += rec.minutes_nonempty
-        minutes[rec.station_id][1][rec.interval_index] += rec.minutes_nonfull
-
-    profiles = []
-    for sid in sorted(covered):
-        rates: list[list[float]] = [[0.0] * n, [0.0] * n]
-        flags: list[tuple[int, str, str]] = []
-        for side, kind in ((0, RENTAL), (1, RETURN)):
-            for idx in range(n):
-                num = counts[sid][side][idx]
-                den = minutes[sid][side][idx]
-                if den <= 0:
-                    den = CENSORED_FALLBACK_MINUTES
-                    flags.append((idx, kind, "censored_fallback"))
-                rates[side][idx] = num / den
-        profiles.append(
-            PoissonProfile(
-                station_id=sid,
-                rental_rates=tuple(rates[0]),
-                return_rates=tuple(rates[1]),
-                minutes_per_interval=horizon.minutes_per_interval,
-                start_hour=horizon.start_hour,
-                flags=tuple(flags),
-            )
+    fallback = minutes <= 0
+    rates = counts / np.where(fallback, CENSORED_FALLBACK_MINUTES, minutes)
+    kinds = tuple(_SIDES)
+    return [
+        PoissonProfile(
+            station_id=sid,
+            rental_rates=tuple(rates[p, 0].tolist()),
+            return_rates=tuple(rates[p, 1].tolist()),
+            minutes_per_interval=horizon.minutes_per_interval,
+            start_hour=horizon.start_hour,
+            flags=tuple((idx, kinds[s], "censored_fallback") for s, idx in np.argwhere(fallback[p]).tolist()),
         )
-    return profiles
+        for p, sid in enumerate(covered)
+    ]
 
 
 def _parse_timestamp(raw: str) -> float:
@@ -222,26 +280,114 @@ def _csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[t
                 )
 
 
-def load_trips_csv(path: str | Path) -> list[TripRecord]:
+class _Codes(dict):
+    """Codes raw CSV fields by their stripped value, stripping each distinct
+    raw field once; ``names`` lists the stripped values by code."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        code = self[raw] = self.names.setdefault(raw.strip(), len(self.names))
+        return code
+
+    def column(self, codes: list[int]) -> tuple[tuple[str, ...], np.ndarray]:
+        return tuple(self.names), np.array(codes, dtype=np.intp)
+
+
+# Positions of the digits of a strict YYYY-MM-DD[T ]HH:MM:SS stamp.
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+
+
+def _strict_seconds(stamps: list[str]) -> np.ndarray | None:
+    """Seconds since midnight of every stamp, in one vector pass, if each is
+    exactly ``YYYY-MM-DD[T ]HH:MM:SS`` with a valid date and time; else
+    None. Each distinct date is checked by the parser the row path uses."""
+    if set(map(len, stamps)) != {19}:
+        return None
+    try:
+        text = np.frombuffer("".join(stamps).encode("ascii"), dtype=np.uint8).reshape(-1, 19)
+    except UnicodeEncodeError:
+        return None
+    digit = text - np.uint8(ord("0"))  # wraps past 9 for any non-digit byte
+    if (digit[:, _STAMP_DIGITS] > 9).any():
+        return None
+    sep = text[:, 10]
+    if not (
+        (text[:, [4, 7]] == ord("-")).all()
+        and (text[:, [13, 16]] == ord(":")).all()
+        and ((sep == ord("T")) | (sep == ord(" "))).all()
+    ):
+        return None
+
+    def number(first: int, width: int) -> np.ndarray:
+        value = digit[:, first].astype(np.int32)
+        for k in range(first + 1, first + width):
+            value = value * 10 + digit[:, k]
+        return value
+
+    hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
+    if (hour > 23).any() or (minute > 59).any() or (second > 59).any():
+        return None
+    day = number(0, 4) * 10000 + number(5, 2) * 100 + number(8, 2)
+    try:
+        for row in np.unique(day, return_index=True)[1].tolist():
+            datetime.fromisoformat(stamps[row])
+    except ValueError:
+        return None
+    return (hour * 3600 + minute * 60 + second).astype(np.float64)
+
+
+def _seconds(stamps: list[str]) -> np.ndarray:
+    """Seconds since midnight of each stamp: one vector pass when every stamp
+    is strict, else ``_parse_timestamp`` row by row, raising for the first bad
+    stamp."""
+    seconds = _strict_seconds(stamps)
+    if seconds is None:
+        seconds = np.array([_parse_timestamp(stamp) for stamp in stamps], dtype=np.float64)
+    return seconds
+
+
+def load_trips_csv(path: str | Path) -> Trips:
     """Read ``station_id,timestamp,kind`` rows; timestamps may be integer
     seconds since midnight or ISO-8601 (auto-detected)."""
-    rows = _csv_rows(path, "trips", ("station_id", "timestamp", "kind"))
-    return [TripRecord(sid.strip(), _parse_timestamp(stamp), kind.strip()) for sid, stamp, kind in rows]
+    station_codes, kind_codes = _Codes(), _Codes()
+    station, stamps, kind = [], [], []
+    try:
+        for sid, stamp, what in _csv_rows(path, "trips", ("station_id", "timestamp", "kind")):
+            station.append(station_codes[sid])
+            stamps.append(stamp)
+            kind.append(kind_codes[what])
+    except ValidationError:
+        _seconds(stamps)  # a bad stamp above the row that failed is the first fault
+        raise
+    stations, station = station_codes.column(station)
+    kinds, kind = kind_codes.column(kind)
+    return Trips(stations, station, _seconds(stamps), kinds, kind)
 
 
 _STATUS_COLUMNS = ("station_id", "interval", "minutes_nonempty", "minutes_nonfull")
 
 
-def load_status_csv(path: str | Path) -> list[StatusRecord]:
+def load_status_csv(path: str | Path) -> StatusRows:
     """Read ``station_id,interval,minutes_nonempty,minutes_nonfull`` rows."""
-    records = []
+    codes = _Codes()
+    station, interval, nonempty, nonfull = [], [], [], []
     for row in _csv_rows(path, "status", _STATUS_COLUMNS):
-        sid, interval, nonempty, nonfull = row
         try:
-            records.append(StatusRecord(sid.strip(), int(interval), float(nonempty), float(nonfull)))
+            interval.append(int(row[1]))
+            nonempty.append(float(row[2]))
+            nonfull.append(float(row[3]))
         except ValueError as exc:
             raise ValidationError(f"{path}: bad status row {dict(zip(_STATUS_COLUMNS, row))}") from exc
-    return records
+        station.append(codes[row[0]])
+    try:
+        intervals = np.array(interval, dtype=np.int64)
+    except OverflowError:  # kept exact, so its validation error names it
+        intervals = np.array(interval, dtype=object)
+    stations, station = codes.column(station)
+    return StatusRows(stations, station, intervals, np.array(nonempty, dtype=np.float64), np.array(nonfull, dtype=np.float64))
 
 
 def profiles_to_json(profiles: Sequence[PoissonProfile], horizon: Horizon, days: int | None = None) -> dict:

@@ -359,6 +359,20 @@ def enumerate_moves(
     return out
 
 
+def expected_cost_finite(profile: FiniteProfile, d: int, b: int) -> Number:
+    """Probability-weighted stockout count over the profile's sequences, one
+    ``count_stockouts`` replay per atom: the reference for finite cost
+    tables. Exact when the probabilities are ``Fraction``s (the
+    per-sequence counts are integers)."""
+    profile.validate()
+    total = 0
+    for events, p in profile.atoms:
+        if p == 0:
+            continue
+        total += p * count_stockouts(events, d, b)[0]
+    return total
+
+
 def simulate_cost(
     profile: PoissonProfile,
     d: int,

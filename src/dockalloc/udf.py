@@ -127,26 +127,12 @@ class FiniteProfile:
         return 1 - sum(p for _, p in self.atoms)
 
 
-def expected_cost_finite(profile: FiniteProfile, d: int, b: int) -> Number:
-    """Probability-weighted stockout count over the profile's sequences.
-
-    Exact when the probabilities are ``Fraction``s (the per-sequence counts
-    are integers)."""
-    profile.validate()
-    total = 0
-    for events, p in profile.atoms:
-        if p == 0:
-            continue
-        total += p * count_stockouts(events, d, b)[0]
-    return total
-
-
 def _finite_day(profile: FiniteProfile, capacity: int) -> tuple[list[Number], list[tuple[Number, np.ndarray]]]:
     """Expected misses at ``capacity`` by start count, and each atom of
     positive probability with its end counts.  Each atom is replayed once,
-    by ``replay_from_every_start``, and its misses are summed as
-    ``expected_cost_finite`` sums them: in the probabilities' own number
-    type and in atom order."""
+    by ``replay_from_every_start``, and its misses are summed as the
+    reference ``oracle.expected_cost_finite`` sums them: in the
+    probabilities' own number type and in atom order."""
     cost: list[Number] = [0] * (capacity + 1)
     ends = []
     for events, p in profile.atoms:

@@ -154,6 +154,24 @@ class TestBestMove:
         # station serves everyone
         assert chosen.kind == "e" and (chosen.i, chosen.j) == (1, 0)
 
+    def test_best_move_searches_the_third_station_of_a_side(self):
+        # A and B lead every side of an E move, so any E move needs C, the
+        # third entry of a side heap; the o, e and O moves all cost more
+        def table(station_id, lose_empty, gain_full, give_bike):
+            # one empty dock and one bike, cost 50; the other sides cost 100 more
+            values = [[150] * (s + 1) for s in range(4)]
+            values[2][1] = 50
+            sides = {(-1, 0): lose_empty, (0, 1): gain_full, (1, -1): give_bike, (0, -1): 100, (1, 0): 100, (-1, 1): 100}
+            for (dd, db), delta in sides.items():
+                values[2 + dd + db][1 + db] = 50 + delta
+            return CostTable(station_id, 3, tuple(map(tuple, values)))
+
+        sources = [table("A", -10, -8, -6), table("B", -9, -10, -7), table("C", -1, -2, -3)]
+        args = (sources, [0] * 3, [3] * 3, [1] * 3, [1] * 3)
+        move = _Descent(*args, threshold=0.0).best_move()
+        assert (move.kind, move.i, move.j, move.h, move.delta) == ("E", 0, 1, 2, -23)
+        assert move_key(move) == move_key(min(enumerate_moves(*args), key=move_key))
+
     def test_best_move_keeps_bikes_optimal(self):
         # the chosen move never needs a second bike adjustment afterward
         for case in range(12):

@@ -19,13 +19,12 @@ from dockalloc.udf import (
     check_multimodular,
     cost_table_from_finite,
     count_stockouts,
-    expected_cost_finite,
     interval_cost_poisson,
     load_cost_table,
     replay_from_every_start,
     save_cost_table,
 )
-from dockalloc.oracle import day_matrix_path, simulate_cost, synthetic_scenario
+from dockalloc.oracle import day_matrix_path, expected_cost_finite, simulate_cost, synthetic_scenario
 from dockalloc.posterior import censored_subsequence
 
 events_strategy = st.lists(st.sampled_from([-1, 1]), max_size=14).map(tuple)
