@@ -3,8 +3,9 @@
 Estimates censoring-corrected demand rates, prices station configurations
 by their expected out-of-stock events, and reallocates docks and bikes by a
 provably optimal discrete gradient descent, with scaled and budgeted
-variants, independent verification oracles, and after-the-fact impact
-estimation.
+variants, and after-the-fact impact estimation.  The independent
+verification oracles live in ``dockalloc.oracle`` and the suite that drives
+them in ``dockalloc.verify``; neither is imported here.
 """
 
 from .allocator import (
@@ -30,19 +31,8 @@ from .demand import (
     save_profiles,
 )
 from .errors import CapacityLimitError, InfeasibleError, ValidationError
+from .instance import InstanceSpec, StationSpec, load_instance, save_instance
 from .longrun import DayChain, LongrunCost, day_chain, stationary
-from .oracle import (
-    InstanceSpec,
-    StationSpec,
-    brute_force_optimum,
-    brute_force_tradeoff,
-    counterexample_fixtures,
-    load_instance,
-    random_instance,
-    save_instance,
-    simulate_cost,
-    synthetic_scenario,
-)
 from .posterior import (
     ImpactEstimate,
     ObservedDay,
@@ -52,7 +42,7 @@ from .posterior import (
     posterior_report,
     rebalancing_adjustment,
 )
-from .scaling import PhasePlan, optimize_scaled, optimize_scaled_constrained
+from .scaling import PhasePlan, optimize_scaled
 from .udf import (
     CostTable,
     FiniteProfile,
@@ -60,10 +50,8 @@ from .udf import (
     check_multimodular,
     cost_table_from_finite,
     count_stockouts,
-    interval_cost_poisson,
     load_cost_table,
     save_cost_table,
 )
-from .verify import run_verification
 
 __version__ = "0.1.0"

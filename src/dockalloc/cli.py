@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from . import demand as demand_mod
-from . import oracle as oracle_mod
 from . import posterior as posterior_mod
 from .allocator import DEFAULT_IMPROVEMENT_THRESHOLD, Constraints, LogEntry, optimize, optimize_tradeoff
 from .errors import InfeasibleError, ValidationError, read_json, row_list, whole_number
+from .instance import load_instance
 from .longrun import LongrunCost
 from .scaling import PhasePlan, optimize_scaled
 from .udf import LazyDailyCost, check_multimodular, load_cost_table, save_cost_table
@@ -211,7 +211,7 @@ def _problem_from_args(args):
     """Resolve stations, cost sources and constraints from the CLI inputs."""
     objective = args.objective
     if args.instance:
-        spec = oracle_mod.load_instance(args.instance)
+        spec = load_instance(args.instance)
         meta = [{"id": s.id, "lat": None, "lon": None} for s in spec.stations]
         if objective == "longrun":
             sources = [LongrunCost(s.profile) for s in spec.stations]

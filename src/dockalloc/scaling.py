@@ -127,5 +127,5 @@ def optimize_scaled(
     return _sweep(constraints, tables, partial(_scaled_descent, plan), improvement_threshold)[0]
 
 
-# The same solver under the name of its capped use.
+# Kept only because `perfbench/tracing.py` SPANS names it; the package does not export it.
 optimize_scaled_constrained = optimize_scaled

@@ -402,7 +402,7 @@ class TestOptimize:
 
     def test_poisson_tables_match_brute_force(self):
         from dockalloc.demand import PoissonProfile
-        from dockalloc.oracle import InstanceSpec, StationSpec
+        from dockalloc.instance import InstanceSpec, StationSpec
 
         for case in range(8):
             rng = philox(307, case)

@@ -7,7 +7,8 @@ import pytest
 
 from dockalloc.cli import main
 from dockalloc.demand import Horizon, save_profiles
-from dockalloc.oracle import exchange_trap_instance, save_instance, synthetic_scenario, instance_to_json
+from dockalloc.instance import instance_to_json, save_instance
+from dockalloc.oracle import exchange_trap_instance, synthetic_scenario
 
 
 @pytest.fixture

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from dockalloc.cli import _load_stations, main
 from dockalloc.demand import Horizon, PoissonProfile, save_profiles
 from dockalloc.errors import ValidationError
-from dockalloc.oracle import instance_from_json, instance_to_json, random_instance
+from dockalloc.instance import instance_from_json, instance_to_json
+from dockalloc.oracle import random_instance
 from dockalloc.posterior import days_from_csv, days_from_json, rebalancing_adjustment
 from dockalloc.udf import DEFAULT_CAPACITY_LIMIT
 

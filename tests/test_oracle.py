@@ -7,17 +7,19 @@ import pytest
 from dockalloc.allocator import dock_move_distance
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
-from dockalloc.oracle import (
+from dockalloc.instance import (
     InstanceSpec,
     StationSpec,
-    brute_force_optimum,
-    counterexample_fixtures,
-    feasible_within_moves,
     instance_from_json,
     instance_to_json,
     load_instance,
-    random_instance,
     save_instance,
+)
+from dockalloc.oracle import (
+    brute_force_optimum,
+    counterexample_fixtures,
+    feasible_within_moves,
+    random_instance,
     simulate_cost,
     synthetic_scenario,
 )
