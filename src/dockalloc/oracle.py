@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -172,6 +173,28 @@ def brute_force_tradeoff(spec: InstanceSpec) -> tuple[int, int, Allocation, Numb
     return new, z, alloc, value
 
 
+def stride_lattice(spec: InstanceSpec, g: int) -> list[tuple[int, Number]]:
+    """(dock distance, objective) of every allocation whose capacities and
+    bikes, the depot's included, differ from the baseline by multiples of
+    ``g``: the reference for a plan that moves ``g`` docks at a time."""
+    constraints = spec.constraints()
+    baseline_caps = constraints.baseline_capacities
+    baseline_bikes = constraints.baseline_bikes
+    depot = (spec.bike_budget - sum(baseline_bikes)) % g
+    tables = spec.tables()
+    out = []
+    for vec in _capacity_vectors(constraints.lower, constraints.upper, spec.dock_budget):
+        if any((c - b) % g for c, b in zip(vec, baseline_caps)):
+            continue
+        lattices = [range(base % g, cap + 1, g) for base, cap in zip(baseline_bikes, vec)]
+        for bikes in product(*lattices):
+            if sum(bikes) > spec.bike_budget or (spec.bike_budget - sum(bikes)) % g != depot:
+                continue
+            value = sum(t.cost(c - b, b) for t, c, b in zip(tables, vec, bikes))
+            out.append((dock_move_distance(vec, baseline_caps), value))
+    return out
+
+
 def enumerate_moves(
     sources: Sequence[CostSource],
     lower: Sequence[int],
@@ -225,7 +248,7 @@ def expected_cost_finite(profile: FiniteProfile, d: int, b: int) -> Number:
     for events, p in profile.atoms:
         if p == 0:
             continue
-        total += p * count_stockouts(events, d, b)[0]
+        total += p * count_stockouts(events, d, b)
     return total
 
 
@@ -318,7 +341,7 @@ def _replay_each_resample(events, exempt, configs, spots, lams, rng, resamples) 
             cursor = pos
         filled.extend(events[cursor:])
         mask.extend(exempt[cursor:])
-        after, before = (count_stockouts(filled, c - b, b, mask)[0] for c, b in configs)
+        after, before = (count_stockouts(filled, c - b, b, mask) for c, b in configs)
         diffs[r] = after - before
     return diffs
 

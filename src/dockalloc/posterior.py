@@ -147,7 +147,7 @@ def added_capacity_impact(day: ObservedDay, rule: str = "same_bikes", rebalancin
         )
     events, exempt = rebalancing_adjustment(day, rebalancing)
     b_before = resolve_bikes_before(day, rule)
-    return count_stockouts(events, day.capacity_before - b_before, b_before, exempt)[0]
+    return count_stockouts(events, day.capacity_before - b_before, b_before, exempt)
 
 
 @dataclass(frozen=True)

@@ -41,15 +41,6 @@ MULTIMODULAR_TOL = 1e-9
 PROBABILITY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class SequenceState:
-    """Station state after a run of arrivals."""
-
-    open_docks: int
-    bikes: int
-    stockouts: int
-
-
 def bike_trajectory(events: Sequence[int], d: int, b: int) -> list[int]:
     """The bike count of a station that opens with ``d`` open docks and
     ``b`` bikes, before the first of ``events`` (+1 return, -1 rental) and
@@ -65,18 +56,15 @@ def bike_trajectory(events: Sequence[int], d: int, b: int) -> list[int]:
     return counts
 
 
-def count_stockouts(
-    events: Sequence[int], d: int, b: int, exempt: Sequence[bool] | None = None
-) -> tuple[int, SequenceState]:
+def count_stockouts(events: Sequence[int], d: int, b: int, exempt: Sequence[bool] | None = None) -> int:
     """Feed ``events`` through a station starting with ``d`` open docks and
-    ``b`` bikes; return the out-of-stock count and the final state.  An
-    event flagged in ``exempt`` moves the state when it succeeds, but its
-    failure is not counted.  Total function: any sequence and any
-    non-negative start is valid, and open_docks + bikes stays constant."""
+    ``b`` bikes; return the out-of-stock count.  An event flagged in
+    ``exempt`` moves the state when it succeeds, but its failure is not
+    counted.  Total function: any sequence and any non-negative start is
+    valid.  ``bike_trajectory`` gives the states the replay passes through."""
     counts = bike_trajectory(events, d, b)
     steps = zip(counts[:-1], counts[1:], [False] * len(events) if exempt is None else exempt, strict=True)
-    misses = sum(before == after and not skip for before, after, skip in steps)
-    return misses, SequenceState(d + b - counts[-1], counts[-1], misses)
+    return sum(before == after and not skip for before, after, skip in steps)
 
 
 def replay_from_every_start(

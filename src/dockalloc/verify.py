@@ -25,6 +25,7 @@ from .oracle import (
     random_finite_profile,
     random_instance,
     simulate_cost,
+    stride_lattice,
 )
 from .demand import PoissonProfile
 from .posterior import REBALANCING_MODES, RULES, censored_subsequence, decreased_capacity_impact
@@ -127,7 +128,7 @@ def _check_surplus_tradeoff(seed: int, instances: int) -> dict:
     }
 
 
-def _check_solver_agreement(seed: int, instances: int) -> dict:
+def _check_solver_agreement(seed: int, instances: int, lattice_instances: int) -> dict:
     failures = []
     for case in range(instances):
         rng = _rng(seed, 2000 + case)
@@ -168,12 +169,29 @@ def _check_solver_agreement(seed: int, instances: int) -> dict:
                     failures.append(f"capped case {case} z={z} plan {plan.step_sizes}: {relocations} moves logged")
                 if last == 1 and (scaled.log, scaled.phases) != (greedy.log, greedy.phases):
                     failures.append(f"capped case {case} z={z} plan {plan.step_sizes}: log or phases differ from greedy")
+    # a capped plan ending at stride g starts at the baseline and makes
+    # z // g moves, so it ends at the best allocation on the baseline's
+    # stride-g lattice within dock distance 2 * g * (z // g)
+    on_lattice = 0
+    for case in range(lattice_instances):
+        spec = random_instance(_rng(seed, 2800 + case), n_max=4, budget_max=12)
+        tables = spec.tables()
+        for g in (2, 3):
+            lattice = stride_lattice(spec, g)
+            for z in range(8):
+                constraints = replace(spec.constraints(), max_moves=z)
+                scaled = optimize_scaled(constraints, tables, PhasePlan((2 * g, g)), improvement_threshold=0.0)
+                best = min(value for distance, value in lattice if distance <= 2 * g * (z // g))
+                on_lattice += 1
+                if scaled.objective != best:
+                    failures.append(f"lattice case {case} z={z} stride {g}: {scaled.objective}, lattice best {best}")
     return {
         "name": "scaled_solvers_match_greedy",
         "passed": not failures,
         "details": failures
         or f"{instances} instances agree across plans; {capped} capped plans equal their last stride alone, "
-        "log at most z // last stride moves, and greedy's own log and phases when the last stride is 1",
+        "log at most z // last stride moves, and greedy's own log and phases when the last stride is 1; "
+        f"{on_lattice} capped stride-2 and stride-3 plans reach the best stride-lattice allocation in their moves",
     }
 
 
@@ -285,8 +303,8 @@ def _check_censoring_identity(seed: int, samples: int) -> dict:
         b = int(rng.integers(0, 5))
         d2 = int(rng.integers(0, d + 1))
         b2 = int(rng.integers(0, b + 1))
-        lhs = count_stockouts(events, d2, b2)[0] - count_stockouts(events, d, b)[0]
-        rhs = count_stockouts(censored_subsequence(events, d, b), d2, b2)[0]
+        lhs = count_stockouts(events, d2, b2) - count_stockouts(events, d, b)
+        rhs = count_stockouts(censored_subsequence(events, d, b), d2, b2)
         if lhs != rhs:
             failures += 1
     return {
@@ -321,7 +339,7 @@ def run_verification(seed: int = 0, instances: int = 25, trials: int = 20000) ->
         _check_midpoint_gap(),
         _check_prefix_optimality(seed, instances),
         _check_surplus_tradeoff(seed, instances),
-        _check_solver_agreement(seed, max(5, instances // 3)),
+        _check_solver_agreement(seed, max(5, instances // 3), instances),
         _check_multimodularity(seed, instances),
         _check_simulation_agreement(seed, cases=max(5, instances // 3), trials=trials),
         _check_kernel_vs_matrix_path(seed),

@@ -198,8 +198,8 @@ def test_criterion_7_censored_replay_identity():
         b = int(rng.integers(0, 6))
         d_small = int(rng.integers(0, d + 1))
         b_small = int(rng.integers(0, b + 1))
-        lhs = count_stockouts(events, d_small, b_small)[0] - count_stockouts(events, d, b)[0]
-        rhs = count_stockouts(censored_subsequence(events, d, b), d_small, b_small)[0]
+        lhs = count_stockouts(events, d_small, b_small) - count_stockouts(events, d, b)
+        rhs = count_stockouts(censored_subsequence(events, d, b), d_small, b_small)
         assert lhs == rhs
     report(7, "10000 random (sequence, shrink) draws satisfy the censored-replay identity exactly")
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import philox
@@ -76,6 +78,35 @@ class TestStationary:
         pi, ergodic = stationary(rho)
         assert ergodic
         assert np.allclose(pi, [0.0, 2 / 7, 5 / 7], atol=1e-12)
+
+    def test_least_squares_answer_is_clipped_to_non_negative(self):
+        # nine transient states feed three recurrent ones, so the reduction
+        # meets a zero pivot; least squares leaves rounding-size entries,
+        # some of them negative, on the transient states
+        t, m = 9, 12
+        rho = philox(3).uniform(0.0, 1.0, (m, m))
+        rho[t:, :t] = 0.0
+        rho /= rho.sum(axis=1, keepdims=True)
+        assert _state_reduction(rho) is None
+        pi, ergodic = stationary(rho)
+        assert ergodic
+        assert pi.min() >= 0.0
+        assert pi[:t].max() <= 1e-14
+        assert pi[t:] == pytest.approx(stationary(rho[t:, t:])[0], abs=1e-12)
+
+    def test_damped_fallback_value_on_a_reducible_chain(self):
+        # states 0 and 2 absorb and state 1 is transient, so no unique law
+        # exists; the fallback is the fixed point of
+        # pi = 0.99 * pi @ rho + 0.01 / 3, solved here by hand
+        rho = np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.0, 0.0, 1.0]])
+        d = Fraction(99, 100)
+        p1 = (1 - d) / 3 / (1 - d / 2)
+        p0 = ((1 - d) / 3 + d * Fraction(1, 5) * p1) / (1 - d)
+        p2 = ((1 - d) / 3 + d * Fraction(3, 10) * p1) / (1 - d)
+        assert p0 + p1 + p2 == 1
+        pi, ergodic = stationary(rho)
+        assert not ergodic
+        assert pi == pytest.approx([float(p0), float(p1), float(p2)], rel=1e-12)
 
     def test_state_reduction_keeps_relative_accuracy(self):
         # two states that swap with chance 1e-14: pi = (1/3, 2/3) whatever eps is

@@ -40,8 +40,8 @@ class TestCensoredSubsequence:
     @given(events_strategy, st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
     def test_replay_identity(self, events, d, b, dd, db):
         d_small, b_small = min(d, dd), min(b, db)
-        lhs = count_stockouts(events, d_small, b_small)[0] - count_stockouts(events, d, b)[0]
-        rhs = count_stockouts(censored_subsequence(events, d, b), d_small, b_small)[0]
+        lhs = count_stockouts(events, d_small, b_small) - count_stockouts(events, d, b)
+        rhs = count_stockouts(censored_subsequence(events, d, b), d_small, b_small)
         assert lhs == rhs
 
 
@@ -149,8 +149,8 @@ class TestSegmentTables:
             b_before = resolve_bikes_before(day, rule)
             for mode in ("none", "strict", "optimistic"):
                 events, exempt = rebalancing_adjustment(day, mode)
-                after = count_stockouts(events, day.capacity_after - day.bikes_at_open, day.bikes_at_open, exempt)[0]
-                before = count_stockouts(events, day.capacity_before - b_before, b_before, exempt)[0]
+                after = count_stockouts(events, day.capacity_after - day.bikes_at_open, day.bikes_at_open, exempt)
+                before = count_stockouts(events, day.capacity_before - b_before, b_before, exempt)
                 expected = ImpactEstimate(mean=float(after - before), stderr=0.0, resamples=1, seed=seed)
                 assert decreased_capacity_impact(day, None, rule, seed, resamples, mode) == expected, (rule, mode)
 
@@ -206,12 +206,12 @@ class TestRebalancing:
         day = ObservedDay("a", 2, 2, 0, rebalancing_events=((50.0, 3),), event_timestamps=())
         events, exempt = rebalancing_adjustment(day, "strict")
         assert events == (1, 1, 1)
-        assert count_stockouts(events, 2, 0, exempt)[0] == 1
+        assert count_stockouts(events, 2, 0, exempt) == 1
 
     def test_optimistic_mode_exempts_them(self):
         day = ObservedDay("a", 2, 2, 0, rebalancing_events=((50.0, 3),), event_timestamps=())
         events, exempt = rebalancing_adjustment(day, "optimistic")
-        assert count_stockouts(events, 2, 0, exempt)[0] == 0
+        assert count_stockouts(events, 2, 0, exempt) == 0
 
     def test_splice_respects_timestamps(self):
         day = ObservedDay(
@@ -248,9 +248,9 @@ class TestRebalancing:
             day = ObservedDay("a", cap, cap, b, events, stamps, rebalancing_events=reb)
             strict_ev, strict_mask = rebalancing_adjustment(day, "strict")
             opt_ev, opt_mask = rebalancing_adjustment(day, "optimistic")
-            assert count_stockouts(opt_ev, cap - b, b, opt_mask)[0] <= count_stockouts(
+            assert count_stockouts(opt_ev, cap - b, b, opt_mask) <= count_stockouts(
                 strict_ev, cap - b, b, strict_mask
-            )[0]
+            )
 
 
 class TestReport:

@@ -5,7 +5,7 @@ import pytest
 from dockalloc.allocator import Constraints, optimize
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
-from dockalloc.oracle import brute_force_optimum, random_instance, synthetic_scenario
+from dockalloc.oracle import brute_force_optimum, random_instance, stride_lattice, synthetic_scenario
 from dockalloc.scaling import PhasePlan, optimize_scaled, optimize_scaled_constrained
 from dockalloc.udf import LazyDailyCost
 
@@ -119,32 +119,6 @@ class TestScaledUnconstrained:
                     reach = None if z is None else 2 * g * (z // g)
                     best = min(value for distance, value in lattice if reach is None or distance <= reach)
                     assert scaled.objective == best, (case, g, z)
-
-
-def stride_lattice(spec, g):
-    """(dock distance, objective) of every allocation whose capacities and
-    bikes, the depot's included, differ from the baseline by multiples of g."""
-    from itertools import product
-
-    from dockalloc.allocator import dock_move_distance
-    from dockalloc.oracle import _capacity_vectors
-
-    constraints = spec.constraints()
-    baseline_caps = constraints.baseline_capacities
-    baseline_bikes = constraints.baseline_bikes
-    depot = (spec.bike_budget - sum(baseline_bikes)) % g
-    tables = spec.tables()
-    out = []
-    for vec in _capacity_vectors(constraints.lower, constraints.upper, spec.dock_budget):
-        if any((c - b) % g for c, b in zip(vec, baseline_caps)):
-            continue
-        lattices = [range(base % g, cap + 1, g) for base, cap in zip(baseline_bikes, vec)]
-        for bikes in product(*lattices):
-            if sum(bikes) > spec.bike_budget or (spec.bike_budget - sum(bikes)) % g != depot:
-                continue
-            value = sum(t.cost(c - b, b) for t, c, b in zip(tables, vec, bikes))
-            out.append((dock_move_distance(vec, baseline_caps), value))
-    return out
 
 
 class TestScaledConstrained:

@@ -16,6 +16,7 @@ from dockalloc.udf import (
     CostTable,
     FiniteProfile,
     LazyDailyCost,
+    bike_trajectory,
     check_multimodular,
     cost_table_from_finite,
     count_stockouts,
@@ -32,17 +33,18 @@ events_strategy = st.lists(st.sampled_from([-1, 1]), max_size=14).map(tuple)
 
 class TestCountStockouts:
     def test_zero_capacity_fails_every_arrival(self):
-        assert count_stockouts((1,), 0, 0)[0] == 1
+        assert count_stockouts((1,), 0, 0) == 1
 
     def test_return_then_two_rentals_served_with_one_dock_one_bike(self):
-        assert count_stockouts((1, -1, -1), 1, 1)[0] == 0
+        assert count_stockouts((1, -1, -1), 1, 1) == 0
 
     def test_same_sequence_with_no_bike_misses_once(self):
-        assert count_stockouts((1, -1, -1), 1, 0)[0] == 1
+        assert count_stockouts((1, -1, -1), 1, 0) == 1
 
     def test_final_state_reported(self):
-        _, state = count_stockouts((1, 1, -1), 2, 0)
-        assert (state.open_docks, state.bikes, state.stockouts) == (1, 1, 0)
+        assert count_stockouts((1, 1, -1), 2, 0) == 0
+        bikes = bike_trajectory((1, 1, -1), 2, 0)[-1]
+        assert (2 - bikes, bikes) == (1, 1)
 
     def test_rejects_bad_event(self):
         with pytest.raises(ValidationError):
@@ -50,13 +52,12 @@ class TestCountStockouts:
 
     @given(events_strategy, st.integers(0, 6), st.integers(0, 6))
     def test_capacity_is_conserved(self, events, d, b):
-        _, state = count_stockouts(events, d, b)
-        assert state.open_docks + state.bikes == d + b
+        assert all(0 <= bikes <= d + b for bikes in bike_trajectory(events, d, b))
 
     @given(events_strategy, st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.integers(0, 3))
     def test_smaller_stations_miss_at_least_as_much(self, events, d, b, dd, db):
-        bigger = count_stockouts(events, d + dd, b + db)[0]
-        smaller = count_stockouts(events, d, b)[0]
+        bigger = count_stockouts(events, d + dd, b + db)
+        smaller = count_stockouts(events, d, b)
         assert smaller >= bigger
 
 
@@ -379,6 +380,15 @@ class TestMultimodularity:
         assert {(v.inequality, v.d, v.b) for v in violations} == {(1, 0, 0), (6, 0, 0)}
         assert all(v.amount == pytest.approx(1.0) for v in violations)
 
+    def test_tolerance_sits_between_rounding_and_real_violations(self):
+        # the same square broken by 1e-6 is reported; broken by 1e-12, a
+        # rounding error's size, it is not
+        table = CostTable("small", 2, ((1.0,), (1.0, 1.0), (1.0, 1.0 - 1e-6, 1.0)))
+        violations = check_multimodular(table)
+        assert {(v.inequality, v.d, v.b) for v in violations} == {(1, 0, 0), (6, 0, 0)}
+        assert all(v.amount == pytest.approx(1e-6) for v in violations)
+        assert check_multimodular(CostTable("noise", 2, ((1.0,), (1.0, 1.0), (1.0, 1.0 - 1e-12, 1.0)))) == []
+
 
 # The replays as they stood before the finite day model and the posterior
 # shared ``count_stockouts`` and ``replay_from_every_start``: one scalar loop
@@ -450,16 +460,16 @@ class TestReplays:
         exempt = data.draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=len(events), max_size=len(events))))
         ends, misses = replay_from_every_start(events, capacity, exempt)
         for x in range(capacity + 1):
-            count, state = count_stockouts(events, capacity - x, x, exempt)
-            assert (int(ends[x]), int(misses[x])) == (state.bikes, count)
+            count = count_stockouts(events, capacity - x, x, exempt)
+            assert (int(ends[x]), int(misses[x])) == (bike_trajectory(events, capacity - x, x)[-1], count)
 
     @given(st.data(), events_30, st.integers(0, 8), st.integers(0, 8))
     def test_scalar_replays_match_the_reference_loop(self, data, events, d, b):
         exempt = data.draw(st.lists(st.booleans(), min_size=len(events), max_size=len(events)))
         misses, state, served = reference_replay(events, d, b, exempt)
-        count, final = count_stockouts(events, d, b, exempt)
-        assert (count, (final.open_docks, final.bikes)) == (misses, state)
-        assert count_stockouts(events, d, b)[0] == reference_replay(events, d, b)[0]
+        bikes = bike_trajectory(events, d, b)[-1]
+        assert (count_stockouts(events, d, b, exempt), (d + b - bikes, bikes)) == (misses, state)
+        assert count_stockouts(events, d, b) == reference_replay(events, d, b)[0]
         assert censored_subsequence(events, d, b) == served
 
     def test_exempt_flags_must_match_the_events(self):
