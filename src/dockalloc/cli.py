@@ -355,7 +355,7 @@ def cmd_optimize(args) -> int:
         ignored = [
             flag
             for flag, given in (
-                ("--max-moves", constraints.max_moves is not None),
+                ("--max-moves", args.max_moves is not None),
                 ("--solver", solver != "greedy"),
                 ("--granularity", args.granularity > 1),
             )

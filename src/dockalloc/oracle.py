@@ -33,10 +33,10 @@ from .udf import (
     Number,
     bike_trajectory,
     count_stockouts,
-    interval_cost_poisson,
 )
 
 SEARCH_SPACE_GUARD = 10_000_000
+TAIL_TOL = 1e-10  # the kernel's jump-count tail cut, kept here on its own
 
 
 def _best_bikes(caps: Sequence[int], bike_budget: int, tables: Sequence[CostSource]):
@@ -299,15 +299,46 @@ def simulate_cost(
     return mean, stderr
 
 
+def _poisson_weights(mean: float) -> tuple[list[float], list[float]]:
+    """Poisson pmf at 0, 1, ... jumps, each from its closed form
+    ``exp(k log(mean) - mean - lgamma(k + 1))``, and the tail mass
+    ``1 - cdf`` past each, up to the first count whose tail is at most
+    ``TAIL_TOL``."""
+    pmfs, tails, cdf = [], [], 0.0
+    while not tails or tails[-1] > TAIL_TOL:
+        k = len(pmfs)
+        pmfs.append(math.exp(k * math.log(mean) - mean - math.lgamma(k + 1)))
+        cdf += pmfs[-1]
+        tails.append(1.0 - cdf)
+    return pmfs, tails
+
+
 def day_matrix_path(profile: PoissonProfile, capacity: int) -> tuple[np.ndarray, np.ndarray]:
     """Expected daily events per start count and the end-of-day transition
-    by the dense matrix chain: each interval's ``interval_cost_poisson``
-    result, accumulated backward.  The reference for both outputs of
-    ``LazyDailyCost``'s vector kernel."""
-    v, rho = np.zeros(capacity + 1), np.eye(capacity + 1)
+    by the dense matrix chain: per interval, the uniformized jump matrix's
+    powers summed with ``_poisson_weights`` into the transition (rows
+    renormalized over the kept jumps) and the occupancy integral, then
+    accumulated backward.  The reference for both outputs of
+    ``LazyDailyCost``; it shares none of the kernel's weights or cuts."""
+    m = capacity + 1
+    v, rho = np.zeros(m), np.eye(m)
     for mu, lam in reversed(list(zip(profile.rental_rates, profile.return_rates))):
-        r = interval_cost_poisson(mu, lam, profile.minutes_per_interval, capacity)
-        v, rho = r.expected_events + r.transition @ v, r.transition @ rho
+        rate = mu + lam
+        if rate == 0:
+            continue
+        step = np.zeros((m, m))
+        for y in range(m):
+            step[y, min(y + 1, capacity)] += lam / rate
+            step[y, max(y - 1, 0)] += mu / rate
+        transition, occupancy, power = np.zeros((m, m)), np.zeros((m, m)), np.eye(m)
+        pmfs, tails = _poisson_weights(rate * profile.minutes_per_interval)
+        for pmf, tail in zip(pmfs, tails):
+            transition += pmf * power
+            occupancy += (tail / rate) * power
+            power = power @ step
+        transition /= transition.sum(axis=1, keepdims=True)
+        misses = occupancy[:, 0] * mu + occupancy[:, capacity] * lam
+        v, rho = misses + transition @ v, transition @ rho
     return v, rho
 
 

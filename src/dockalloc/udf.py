@@ -37,6 +37,7 @@ Number = int | float | Fraction
 COST_BLOCK = 8
 DEFAULT_CAPACITY_LIMIT = 512
 JUMP_TAIL_TOL = 1e-10
+MAX_POWERS = 16  # most P^j a transition block stores, whatever an interval's jump count
 MULTIMODULAR_TOL = 1e-9
 PROBABILITY_SLACK = 1e-12
 
@@ -232,6 +233,19 @@ def interval_cost_poisson(rental_rate: float, return_rate: float, minutes: float
     return IntervalResult(transition, occupancy @ boundary)
 
 
+def _horner_split(jumps: int, width: int) -> tuple[int, int]:
+    """The power ``s`` and the Horner step count ``G = ceil(jumps / s) - 1``
+    for a degree-``jumps`` polynomial in ``width``-state chains: the ``s``
+    up to ``MAX_POWERS`` with the least work, ``s`` stencil passes plus
+    ``G`` batched products.  A product with its add counts as
+    ``max(2, width / 48)`` passes: about two while both are bound by memory
+    traffic, then growing with the product's ``width**3`` work against the
+    pass's ``width**2``."""
+    product = max(2.0, width / 48)
+    splits = [(s, max(jumps - 1, 0) // s) for s in range(1, min(max(jumps, 1), MAX_POWERS) + 1)]
+    return min(splits, key=lambda split: split[0] + product * split[1])
+
+
 class LazyDailyCost:
     """A station's day model: for each total capacity, the expected daily
     events per start count and the end-of-day bike-count distribution, both
@@ -239,9 +253,10 @@ class LazyDailyCost:
 
     Poisson profiles price a block of ``COST_BLOCK`` neighbouring capacities
     at once in one backward recursion on vectors (see ``_price_block``);
-    the day transitions ride along in the same pass when ``day_transition``
-    asks for them.  Finite profiles replay every atom from every start count
-    at once (residual mass leaves the state unchanged).
+    when ``day_transition`` asks, the block's day transitions follow from
+    the same jump weights as matrix polynomials (see ``_day_transitions``).
+    Finite profiles replay every atom from every start count at once
+    (residual mass leaves the state unchanged).
     """
 
     def __init__(self, profile: PoissonProfile | FiniteProfile):
@@ -288,9 +303,8 @@ class LazyDailyCost:
         ``r <- p_up r[up] + p_down r[dn] + w_k v + o_k bnd``, where ``bnd``
         holds the failure rates at each capacity's empty and full ends.
         Each jump is one gather into ``terms`` and one BLAS dot with the
-        jump's row.  The transition columns start as each capacity's
-        identity and take the same update without the ``o_k bnd`` term,
-        ending as ``T_1 ... T_K``.  BLAS may round an entry by its place in
+        jump's row.  The transitions come from ``_day_transitions``, which
+        leaves this pass alone.  BLAS may round an entry by its place in
         the block, so a capacity's vectors are a function of the profile
         and the capacity, which fix its aligned block.
         """
@@ -307,29 +321,69 @@ class LazyDailyCost:
         shifted = terms[:2].reshape(-1)
         r = np.zeros(n)
         take, dot = r.take, np.dot
-        if transition:
-            rho = np.zeros((n, int(sizes.max())))  # column y: chance of ending with y bikes
-            rho[np.arange(n), np.arange(n) - np.repeat(lows, sizes)] = 1.0
-            rho_flat = rho.reshape(-1)
-            rho_terms = np.empty((3, rho.size))  # rows rho[up], rho[dn], previous rho
-            rho_shifted = rho_terms[:2].reshape(2 * n, -1)
         for mu, lam, rows in reversed(self._jump_weights()):
             terms[2] = r
             terms[3] = 0.0
             terms[3, lows] += mu
             terms[3, highs] += lam
             r.fill(0.0)
-            if transition:
-                rho_terms[2] = rho_flat
-                rho.fill(0.0)
             for row in rows:
                 take(neighbours, None, shifted, "wrap")  # in range: wrap only skips the bounds check
                 dot(row, terms, r)
-                if transition:
-                    rho.take(neighbours, 0, rho_shifted, "wrap")
-                    dot(row[:3], rho_terms, rho_flat)
-        rhos = [rho[lo : lo + m, :m] for lo, m in zip(lows, sizes)] if transition else []
-        return np.split(r, lows[1:]), rhos
+        return np.split(r, lows[1:]), (self._day_transitions(sizes) if transition else [])
+
+    def _day_transitions(self, sizes: np.ndarray) -> list[np.ndarray]:
+        """Day transitions ``T_1 ... T_I`` of capacities with ``sizes``
+        states each, from the same jump weights as the cost pass.
+
+        The chains sit in one stack of ``(m, m)`` matrices, ``m`` the
+        largest size, each zero past its own size; ``up`` and ``dn`` are the
+        cost pass's neighbours in this layout, a padding state its own
+        neighbour.  Per interval, ``T = sum_k w_k P^k`` is evaluated as a
+        polynomial in ``P^s`` (Paterson & Stockmeyer, SIAM J. Comput. 2(1),
+        1973): the powers ``P^1 ... P^s`` by the stencil (one gather and one
+        BLAS dot each), the coefficients ``B_g = sum_j w_{gs+j} P^j`` by one
+        gemm, the top one running to ``j = s``, and Horner in ``P^s`` by one
+        batched matmul per step, ``T = B_0 + P^s (B_1 + P^s (...))``.  Then
+        ``rho <- T rho``.  ``_horner_split`` picks ``s``.
+        """
+        count, m = len(sizes), int(sizes.max())
+        n = count * m
+        states = np.arange(n)
+        place, size = states % m, np.repeat(sizes, m)
+        up = np.where(place < size - 1, states + 1, states)
+        dn = np.where((place > 0) & (place < size), states - 1, states)
+        neighbours = np.concatenate([up, dn])
+        plans = [(rows, *_horner_split(len(rows) - 1, m)) for _, _, rows in reversed(self._jump_weights())]
+        most = max((s for _, s, _ in plans), default=0)
+        powers = np.zeros((most + 1, count, m, m))
+        powers[0].reshape(n, m)[states, place] = place < size
+        flat = powers.reshape(most + 1, -1)
+        shifted = np.empty((2, n * m))  # rows P^j[up], P^j[dn]
+        coefs = np.empty((most + 1, count, m, m))
+        rho, t, u = powers[0].copy(), np.empty_like(powers[0]), np.empty_like(powers[0])
+        for rows, s, steps in plans:
+            for j in range(1, s + 1):
+                powers[j - 1].reshape(n, m).take(neighbours, 0, shifted.reshape(2 * n, m), "wrap")
+                np.dot(rows[0, :2], shifted, flat[j])
+            weights = np.zeros((steps + 1) * s + 1)
+            weights[: len(rows)] = rows[::-1, 2]
+            matrix = np.zeros((steps + 1, s + 1))  # row g: w_{gs} ... w_{gs+s-1}, and w_{gs+s} at the top
+            matrix[:, :s] = weights[:-1].reshape(steps + 1, s)
+            matrix[steps, s] = weights[-1]
+            for top in range(steps, -1, -(most + 1)):  # coefficients in chunks no larger than the powers
+                low = max(top - most, 0)
+                np.dot(matrix[low : top + 1], flat[: s + 1], coefs[: top - low + 1].reshape(top - low + 1, -1))
+                for g in range(top, low - 1, -1):
+                    if g == steps:
+                        t[...] = coefs[g - low]
+                        continue
+                    np.matmul(powers[s], t, u)
+                    u += coefs[g - low]
+                    t, u = u, t
+            np.matmul(t, rho, u)
+            rho, u = u, rho
+        return [rho[c, :size, :size] for c, size in enumerate(sizes)]
 
     def _build(self, capacity: int, transition: bool) -> None:
         if capacity < 0:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dockalloc.allocator import optimize_tradeoff
 from dockalloc.cli import main
 from dockalloc.demand import Horizon, save_profiles
 from dockalloc.instance import instance_to_json, save_instance
@@ -78,6 +79,40 @@ class TestOptimizeCommand:
         run("optimize", "--instance", trap_instance, "--out", out2)
         for name in ("allocation.json", "moves.csv", "curve.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_longrun_reruns_are_byte_identical(self, tmp_path):
+        path = tmp_path / "city.json"
+        save_instance(path, synthetic_scenario(n_stations=4, seed=3, max_moves=20))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("longrun", "--instance", path, "--out", out1) == 0
+        assert run("longrun", "--instance", path, "--out", out2) == 0
+        for name in ("allocation.json", "moves.csv", "curve.csv", "manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_longrun_tables_reruns_are_byte_identical(self, tmp_path, monkeypatch):
+        spec = synthetic_scenario(n_stations=3, seed=3)
+        profiles = tmp_path / "profiles.json"
+        save_profiles(profiles, [s.profile for s in spec.stations], Horizon(intervals=48))
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DOCKALLOC_THREADS", threads)
+            outs.append(tmp_path / f"tables-{threads}")
+            argv = ("tables", "--profiles", profiles, "--capacity", 20, "--objective", "longrun", "--out", outs[-1])
+            assert run(*argv) == 0
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir()) and len(names) == 4
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_tradeoff_on_an_instance_with_its_own_move_cap(self, tmp_path):
+        spec = synthetic_scenario(n_stations=12, seed=5, max_moves=20)
+        path = tmp_path / "city.json"
+        save_instance(path, spec)
+        out = tmp_path / "trade"
+        assert run("optimize", "--instance", path, "--tradeoff", "3,12", "--out", out) == 0
+        constraints = dataclasses.replace(spec.constraints(), tradeoff=(3, 12))
+        expected = optimize_tradeoff(constraints, spec.tables())
+        assert read_json(out / "allocation.json")["objective"] == float(expected.result.objective)
 
     def test_surplus_tradeoff_and_capped_runs_are_pinned(self, tmp_path):
         # the plans of the sweep that reran the surplus additions per candidate

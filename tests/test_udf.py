@@ -206,10 +206,32 @@ class TestVectorKernel:
         p = PoissonProfile("e", (0.0, 0.3, 0.0, 0.1), (0.0, 0.0, 0.25, 0.2))
         assert matrix_path_gap(LazyDailyCost(p), capacity) <= 1e-12
 
-    @pytest.mark.parametrize("capacity", [0, 3, 10])
+    @pytest.mark.parametrize("capacity", [0, 3, 10, 40])
     def test_jump_mean_near_five_thousand(self, capacity):
         p = PoissonProfile("h", (90.0,), (76.7,), minutes_per_interval=30.0)  # 5,001 expected arrivals
         assert matrix_path_gap(LazyDailyCost(p), capacity) <= 1e-12
+
+    def test_most_powers_and_coefficients_in_chunks(self):
+        # the block of capacity 40 stores the most powers, and its Horner
+        # steps outnumber them, so the coefficients come in several chunks
+        daily = LazyDailyCost(PoissonProfile("h", (90.0,), (76.7,), minutes_per_interval=30.0))
+        ((_, _, rows),) = daily._jump_weights()
+        powers, steps = udf._horner_split(len(rows) - 1, 48)
+        assert powers == udf.MAX_POWERS and steps > 2 * (powers + 1)
+
+    @pytest.mark.parametrize("capacity", [64, 100])
+    def test_wide_blocks_match_matrix_path(self, capacity):
+        # past about 48 states a batched product costs more than a stencil
+        # pass, so these blocks split their polynomials differently
+        daily = LazyDailyCost(synthetic_scenario(6).stations[1].profile)
+        assert matrix_path_gap(daily, capacity) <= 1e-12
+
+    @pytest.mark.parametrize("jumps", [0, 1, 2, 15, 40, 1000])
+    @pytest.mark.parametrize("width", [1, 48, 104])
+    def test_horner_split_covers_every_jump(self, jumps, width):
+        powers, steps = udf._horner_split(jumps, width)
+        assert 1 <= powers <= udf.MAX_POWERS and steps >= 0
+        assert (steps + 1) * powers >= jumps > steps * powers or jumps == steps == 0
 
     def test_zero_rates_give_the_exact_identity(self):
         daily = LazyDailyCost(PoissonProfile("z", (0.0, 0.0), (0.0, 0.0)))
