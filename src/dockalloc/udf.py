@@ -18,6 +18,7 @@ them for any tabulated cost.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -233,6 +234,7 @@ def interval_cost_poisson(rental_rate: float, return_rate: float, minutes: float
     return IntervalResult(transition, occupancy @ boundary)
 
 
+@functools.lru_cache(maxsize=4096)
 def _horner_split(jumps: int, width: int) -> tuple[int, int]:
     """The power ``s`` and the Horner step count ``G = ceil(jumps / s) - 1``
     for a degree-``jumps`` polynomial in ``width``-state chains: the ``s``
@@ -240,7 +242,8 @@ def _horner_split(jumps: int, width: int) -> tuple[int, int]:
     ``G`` batched products.  A product with its add counts as
     ``max(2, width / 48)`` passes: about two while both are bound by memory
     traffic, then growing with the product's ``width**3`` work against the
-    pass's ``width**2``."""
+    pass's ``width**2``.  Cached: every block asks for each of its
+    intervals."""
     product = max(2.0, width / 48)
     splits = [(s, max(jumps - 1, 0) // s) for s in range(1, min(max(jumps, 1), MAX_POWERS) + 1)]
     return min(splits, key=lambda split: split[0] + product * split[1])
@@ -383,7 +386,7 @@ class LazyDailyCost:
                     t, u = u, t
             np.matmul(t, rho, u)
             rho, u = u, rho
-        return [rho[c, :size, :size] for c, size in enumerate(sizes)]
+        return [block[:k, :k] for block, k in zip(rho, sizes)]
 
     def _build(self, capacity: int, transition: bool) -> None:
         if capacity < 0:
