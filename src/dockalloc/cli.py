@@ -381,6 +381,12 @@ def cmd_optimize(args) -> int:
             for ph in result.phases
         ]
     }
+    if args.objective == "longrun":
+        chains = [(meta[i]["id"], s.chains) for i, s in enumerate(sources) if isinstance(s, LongrunCost)]
+        stats_doc["chains_built"] = sum(len(built) for _, built in chains)
+        stats_doc["nonergodic"] = [
+            [station, c] for station, built in chains for c, chain in sorted(built.items()) if not chain.ergodic
+        ]
 
     out = _outdir(args)
     before_caps = list(constraints.baseline_capacities)

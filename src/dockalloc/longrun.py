@@ -32,37 +32,60 @@ class DayChain:
     ergodic: bool  # False when the stationary solve was degenerate
 
 
-def _state_reduction(rho: np.ndarray) -> np.ndarray | None:
-    """Stationary distribution by the Grassmann-Taksar-Heyman state
-    reduction: censor the chain on ever fewer states, taking each pivot
-    ``1 - rho[k, k]`` as the sum of the row's other entries, so no step
-    subtracts.  ``None`` at a zero pivot, where state k cannot reach any
-    state below it, so the chain is reducible."""
-    a = rho.copy()
-    m = a.shape[0]
+def _state_reductions(rhos: list[np.ndarray]) -> list[np.ndarray | None]:
+    """Unnormalised stationary laws of several chains at once by the
+    Grassmann-Taksar-Heyman state reduction: censor each chain on ever
+    fewer states, taking each pivot ``1 - rho[k, k]`` as the sum of the
+    row's other entries, so no step subtracts.  ``None`` for a chain that
+    meets a zero pivot, where state k cannot reach any state below it.
+
+    When every pivot is positive every state reaches state 0, so the chain
+    has one closed class and its law is unique (Grassmann, Taksar & Heyman
+    1985).  The chains are padded to the largest size with states that go
+    to state 0 at once and that no state enters: their pivots are 1 and
+    their columns 0, so they add exact zeros and leave each chain's law as
+    its reduction alone gives it.
+    """
+    count, m = len(rhos), max(len(rho) for rho in rhos)
+    a = np.zeros((count, m, m))
+    for chain, rho in zip(a, rhos):
+        chain[: len(rho), : len(rho)] = rho
+        chain[len(rho) :, 0] = 1.0
+    healthy = np.ones(count, dtype=bool)
     for k in range(m - 1, 0, -1):
-        pivot = a[k, :k].sum()
-        if not pivot > 0.0:
-            return None
-        a[:k, k] /= pivot
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    pi = np.zeros(m)
-    pi[0] = 1.0
+        pivot = a[:, k, :k].sum(axis=1)
+        positive = pivot > 0.0
+        healthy &= positive
+        if not healthy.any():
+            return [None] * count
+        pivot[~positive] = 1.0  # that chain's law is dropped; this keeps the stack finite
+        a[:, :k, k] /= pivot[:, None]
+        a[:, :k, :k] += a[:, :k, k, None] * a[:, k, None, :k]
+    pi = np.zeros((count, 1, m))
+    pi[:, 0, 0] = 1.0
     for k in range(1, m):
-        pi[k] = pi[:k] @ a[:k, k]
-    return pi
+        np.matmul(pi[:, :, :k], a[:, :k, k, None], pi[:, :, k, None])
+    return [law[0, : len(rho)] if ok else None for law, rho, ok in zip(pi, rhos, healthy)]
 
 
-def stationary(rho: np.ndarray) -> tuple[np.ndarray, bool]:
+def _state_reduction(rho: np.ndarray) -> np.ndarray | None:
+    """``_state_reductions`` of one chain."""
+    return _state_reductions([rho])[0]
+
+
+def stationary(rho: np.ndarray, law: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """Stationary distribution of a row-stochastic matrix.
 
-    When the solution is unique, reduces the chain state by state (see
-    ``_state_reduction``), which keeps full relative accuracy even on
-    nearly decomposable chains; a chain whose reduction meets a zero pivot
-    (one with transient states) goes to a least-squares solve instead.  If
-    the chain is degenerate (stationary distribution not unique), returns
-    the fixed point of power iteration damped toward the uniform
-    distribution and flags the result non-ergodic.
+    Reduces the chain state by state (see ``_state_reductions``), which
+    keeps full relative accuracy even on nearly decomposable chains;
+    ``law`` is that reduction's answer when a block of chains already ran
+    it (a chain that met a zero pivot there meets it again here, alone).
+    Only after a zero pivot does the chain need its singular values:
+    with transient states and one closed class it goes to a least-squares
+    solve.  If the chain is degenerate (stationary distribution not unique),
+    or the law found is not a fixed point, returns the fixed point of power
+    iteration damped toward the uniform distribution and flags the result
+    non-ergodic.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -76,18 +99,16 @@ def stationary(rho: np.ndarray) -> tuple[np.ndarray, bool]:
     if m == 1:
         return np.ones(1), True
 
-    a = rho.T - np.eye(m)
-    singular_values = np.linalg.svd(a, compute_uv=False)
-    cutoff = max(1.0, singular_values[0]) * RANK_TOL
-    nullity = int(np.sum(singular_values < cutoff))
-
-    if nullity <= 1:
-        pi = _state_reduction(rho)
-        if pi is None:
+    pi = _state_reduction(rho) if law is None else law
+    if pi is None:
+        a = rho.T - np.eye(m)
+        singular_values = np.linalg.svd(a, compute_uv=False)
+        if np.sum(singular_values < max(1.0, singular_values[0]) * RANK_TOL) <= 1:
             system = np.vstack([a, np.ones((1, m))])
             rhs = np.zeros(m + 1)
             rhs[-1] = 1.0
             pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    if pi is not None:
         pi = np.clip(pi, 0.0, None)
         pi /= pi.sum()
         if np.max(np.abs(pi @ rho - pi)) <= FIXED_POINT_TOL:
@@ -101,9 +122,10 @@ def stationary(rho: np.ndarray) -> tuple[np.ndarray, bool]:
     return pi, False
 
 
-def day_chain(rho: np.ndarray) -> DayChain:
-    """The day-to-day chain of an end-of-day transition matrix."""
-    pi, ergodic = stationary(rho)
+def day_chain(rho: np.ndarray, law: np.ndarray | None = None) -> DayChain:
+    """The day-to-day chain of an end-of-day transition matrix; ``law`` as
+    for ``stationary``."""
+    pi, ergodic = stationary(rho, law)
     return DayChain(rho, pi, ergodic)
 
 
@@ -120,12 +142,17 @@ class LongrunCost:
         self.daily = LazyDailyCost(profile)
         self.station_id = self.daily.station_id
         self._by_capacity: dict[int, float] = {}
-        self._chains: dict[int, DayChain] = {}
+        self.chains: dict[int, DayChain] = {}  # every chain built so far, by capacity
 
     def chain(self, capacity: int) -> DayChain:
-        if capacity not in self._chains:
-            self._chains[capacity] = day_chain(self.daily.day_transition(capacity))
-        return self._chains[capacity]
+        """The day chain of ``capacity``, built with the others of its
+        transition block: one state reduction for the block's chains."""
+        if capacity not in self.chains:
+            rhos = self.daily.day_transitions(capacity)
+            laws = _state_reductions(list(rhos.values()))
+            for (c, rho), law in zip(rhos.items(), laws):
+                self.chains[c] = day_chain(rho, law)
+        return self.chains[capacity]
 
     def cost(self, d: int, b: int) -> float:
         if d < 0 or b < 0:

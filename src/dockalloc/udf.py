@@ -35,12 +35,13 @@ from .errors import CapacityLimitError, ValidationError, read_json, whole_number
 
 Number = int | float | Fraction
 
-COST_BLOCK = 8
+COST_BLOCK = 8  # capacities per cost pass, bound by per-jump call overhead
 DEFAULT_CAPACITY_LIMIT = 512
 JUMP_TAIL_TOL = 1e-10
 MAX_POWERS = 16  # most P^j a transition block stores, whatever an interval's jump count
 MULTIMODULAR_TOL = 1e-9
 PROBABILITY_SLACK = 1e-12
+TRANSITION_BLOCK = 4  # capacities per transition pass, bound by matmul work that grows as m^3
 
 
 def bike_trajectory(events: Sequence[int], d: int, b: int) -> list[int]:
@@ -249,17 +250,25 @@ def _horner_split(jumps: int, width: int) -> tuple[int, int]:
     return min(splits, key=lambda split: split[0] + product * split[1])
 
 
+def _aligned_block(capacity: int, width: int) -> list[int]:
+    """The capacities priced with ``capacity``: its aligned block of
+    ``width``, cut at ``DEFAULT_CAPACITY_LIMIT``."""
+    first = capacity - capacity % width
+    return list(range(first, min(first + width - 1, DEFAULT_CAPACITY_LIMIT) + 1))
+
+
 class LazyDailyCost:
     """A station's day model: for each total capacity, the expected daily
     events per start count and the end-of-day bike-count distribution, both
     computed on demand and kept for the life of this object.
 
-    Poisson profiles price a block of ``COST_BLOCK`` neighbouring capacities
-    at once in one backward recursion on vectors (see ``_price_block``);
-    when ``day_transition`` asks, the block's day transitions follow from
-    the same jump weights as matrix polynomials (see ``_day_transitions``).
-    Finite profiles replay every atom from every start count at once
-    (residual mass leaves the state unchanged).
+    Poisson profiles price an aligned block of ``COST_BLOCK`` neighbouring
+    capacities at once in one backward recursion on vectors (see
+    ``_price_block``); when ``day_transition`` asks, the day transitions of
+    an aligned block of ``TRANSITION_BLOCK`` follow from the same jump
+    weights as matrix polynomials (see ``_day_transitions``).  Finite
+    profiles replay every atom from every start count at once (residual
+    mass leaves the state unchanged).
     """
 
     def __init__(self, profile: PoissonProfile | FiniteProfile):
@@ -294,9 +303,8 @@ class LazyDailyCost:
             self._jumps = jumps
         return self._jumps
 
-    def _price_block(self, capacities: list[int], transition: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Daily cost vectors of several capacities in one backward pass,
-        and their day transitions when ``transition`` is set (else none).
+    def _price_block(self, capacities: list[int]) -> list[np.ndarray]:
+        """Daily cost vectors of several capacities in one backward pass.
 
         The capacities' bike counts sit side by side in one vector; ``up``
         and ``dn`` index each state's neighbours, a capacity's own end
@@ -306,10 +314,10 @@ class LazyDailyCost:
         ``r <- p_up r[up] + p_down r[dn] + w_k v + o_k bnd``, where ``bnd``
         holds the failure rates at each capacity's empty and full ends.
         Each jump is one gather into ``terms`` and one BLAS dot with the
-        jump's row.  The transitions come from ``_day_transitions``, which
-        leaves this pass alone.  BLAS may round an entry by its place in
-        the block, so a capacity's vectors are a function of the profile
-        and the capacity, which fix its aligned block.
+        jump's row, so the pass costs about the same per jump whatever the
+        block's width.  BLAS may round an entry by its place in the block,
+        so a capacity's vectors are a function of the profile and the
+        capacity, which fix its aligned block.
         """
         sizes = np.array(capacities) + 1
         lows = np.cumsum(sizes) - sizes
@@ -333,11 +341,11 @@ class LazyDailyCost:
             for row in rows:
                 take(neighbours, None, shifted, "wrap")  # in range: wrap only skips the bounds check
                 dot(row, terms, r)
-        return np.split(r, lows[1:]), (self._day_transitions(sizes) if transition else [])
+        return np.split(r, lows[1:])
 
-    def _day_transitions(self, sizes: np.ndarray) -> list[np.ndarray]:
-        """Day transitions ``T_1 ... T_I`` of capacities with ``sizes``
-        states each, from the same jump weights as the cost pass.
+    def _day_transitions(self, capacities: list[int]) -> list[np.ndarray]:
+        """Day transitions ``T_1 ... T_I`` of several capacities, from the
+        same jump weights as the cost pass.
 
         The chains sit in one stack of ``(m, m)`` matrices, ``m`` the
         largest size, each zero past its own size; ``up`` and ``dn`` are the
@@ -348,8 +356,12 @@ class LazyDailyCost:
         BLAS dot each), the coefficients ``B_g = sum_j w_{gs+j} P^j`` by one
         gemm, the top one running to ``j = s``, and Horner in ``P^s`` by one
         batched matmul per step, ``T = B_0 + P^s (B_1 + P^s (...))``.  Then
-        ``rho <- T rho``.  ``_horner_split`` picks ``s``.
+        ``rho <- T rho``.  ``_horner_split`` picks ``s``.  The products cost
+        about ``m^3`` per chain, so a narrow block builds fewer unused
+        states; the bits of a transition depend on ``m``, which its aligned
+        block fixes.
         """
+        sizes = np.array(capacities) + 1
         count, m = len(sizes), int(sizes.max())
         n = count * m
         states = np.arange(n)
@@ -406,11 +418,12 @@ class LazyDailyCost:
                 rho[starts, starts] += float(self.profile.residual)
                 self._day_transition[capacity] = rho
             return
-        first = capacity - capacity % COST_BLOCK
-        block = list(range(first, min(first + COST_BLOCK - 1, DEFAULT_CAPACITY_LIMIT) + 1))
-        costs, rhos = self._price_block(block, transition)
-        self._day_cost.update((c, v) for c, v in zip(block, costs) if c not in self._day_cost)
-        self._day_transition.update(zip(block, rhos))
+        if capacity not in self._day_cost:
+            block = _aligned_block(capacity, COST_BLOCK)
+            self._day_cost.update(zip(block, self._price_block(block)))
+        if transition:
+            block = _aligned_block(capacity, TRANSITION_BLOCK)
+            self._day_transition.update(zip(block, self._day_transitions(block)))
 
     def cost_vector(self, capacity: int) -> np.ndarray:
         """Expected daily events indexed by the number of bikes at open."""
@@ -423,6 +436,14 @@ class LazyDailyCost:
         if capacity not in self._day_transition:
             self._build(capacity, transition=True)
         return self._day_transition[capacity]
+
+    def day_transitions(self, capacity: int) -> dict[int, np.ndarray]:
+        """``day_transition`` of ``capacity`` and of every capacity built
+        with it, by capacity: its aligned block of ``TRANSITION_BLOCK`` for
+        a Poisson profile, itself alone for a finite one."""
+        self.day_transition(capacity)
+        block = [capacity] if self._finite else _aligned_block(capacity, TRANSITION_BLOCK)
+        return {c: self._day_transition[c] for c in block}
 
     def cost(self, d: int, b: int) -> float:
         if d < 0 or b < 0:

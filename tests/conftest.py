@@ -25,14 +25,19 @@ def philox(*key) -> np.random.Generator:
 
 @pytest.fixture
 def price_blocks(monkeypatch):
-    """Record the capacities of every batched kernel pass and whether it
-    built day transitions too."""
+    """Record the capacities of every batched kernel pass, with False for
+    a cost pass and True for a day-transition pass."""
     calls = []
-    original = LazyDailyCost._price_block
 
-    def spy(self, capacities, transition):
-        calls.append((list(capacities), transition))
-        return original(self, capacities, transition)
+    def spy(name, transition):
+        original = getattr(LazyDailyCost, name)
 
-    monkeypatch.setattr(LazyDailyCost, "_price_block", spy)
+        def recorded(self, capacities):
+            calls.append((list(capacities), transition))
+            return original(self, capacities)
+
+        monkeypatch.setattr(LazyDailyCost, name, recorded)
+
+    spy("_price_block", False)
+    spy("_day_transitions", True)
     return calls

@@ -7,7 +7,7 @@ import pytest
 
 from dockalloc.allocator import optimize_tradeoff
 from dockalloc.cli import main
-from dockalloc.demand import Horizon, save_profiles
+from dockalloc.demand import Horizon, PoissonProfile, save_profiles
 from dockalloc.instance import instance_to_json, save_instance
 from dockalloc.oracle import exchange_trap_instance, synthetic_scenario
 
@@ -88,6 +88,25 @@ class TestOptimizeCommand:
         assert run("longrun", "--instance", path, "--out", out2) == 0
         for name in ("allocation.json", "moves.csv", "curve.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_longrun_stats_name_the_nonergodic_station(self, tmp_path):
+        # an idle station's day chain is the identity, which has no unique law
+        spec = synthetic_scenario(n_stations=4, seed=3, max_moves=20)
+        idle = spec.stations[1]
+        idle = dataclasses.replace(idle, profile=PoissonProfile(idle.id, (0.0,) * 48, (0.0,) * 48))
+        path = tmp_path / "city.json"
+        save_instance(path, dataclasses.replace(spec, stations=(spec.stations[0], idle, *spec.stations[2:])))
+        for command in ("longrun", "optimize"):
+            assert run(command, "--instance", path, "--out", tmp_path / command) == 0
+        stats = read_json(tmp_path / "longrun" / "stats.json")
+        assert {station for station, _ in stats["nonergodic"]} == {idle.id}
+        flagged = [capacity for _, capacity in stats["nonergodic"]]
+        # chains come in aligned blocks of 4, and a one-state chain is ergodic
+        blocks = {capacity // 4 for capacity in flagged}
+        assert flagged == [c for block in sorted(blocks) for c in range(4 * block, 4 * block + 4) if c > 0]
+        assert stats["chains_built"] > len(flagged)
+        assert set(read_json(tmp_path / "optimize" / "stats.json")) == {"phases"}
+        assert "nonergodic" not in read_json(tmp_path / "longrun" / "allocation.json")
 
     def test_longrun_tables_reruns_are_byte_identical(self, tmp_path, monkeypatch):
         spec = synthetic_scenario(n_stations=3, seed=3)

@@ -6,13 +6,41 @@ from conftest import philox
 
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
-from dockalloc.longrun import LongrunCost, _state_reduction, day_chain, stationary
+from dockalloc import longrun
+from dockalloc.longrun import LongrunCost, _state_reduction, _state_reductions, day_chain, stationary
 from dockalloc.oracle import day_matrix_path, synthetic_scenario
 from dockalloc.udf import FiniteProfile, LazyDailyCost, check_multimodular, interval_cost_poisson
 
 
 def day_transition(profile, capacity):
     return LazyDailyCost(profile).day_transition(capacity)
+
+
+def loop_state_reduction(rho):
+    """The state reduction one chain at a time, the reference for the
+    batched ``_state_reductions``."""
+    a = rho.copy()
+    m = a.shape[0]
+    for k in range(m - 1, 0, -1):
+        pivot = a[k, :k].sum()
+        if not pivot > 0.0:
+            return None
+        a[:k, k] /= pivot
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(m)
+    pi[0] = 1.0
+    for k in range(1, m):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi
+
+
+def random_chain(rng, size):
+    raw = rng.uniform(0.0, 1.0, (size, size)) ** 4  # uneven rows, some entries near zero
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+TRANSIENT = np.array([[0.0, 0.6, 0.4], [0.0, 0.5, 0.5], [0.0, 0.2, 0.8]])  # state 0 transient
+REDUCIBLE = np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.0, 0.0, 1.0]])  # states 0 and 2 absorb
 
 
 class TestDayTransition:
@@ -108,12 +136,73 @@ class TestStationary:
         assert not ergodic
         assert pi == pytest.approx([float(p0), float(p1), float(p2)], rel=1e-12)
 
+    def test_law_off_its_fixed_point_goes_to_the_damped_fallback(self, monkeypatch):
+        rho = random_chain(philox(23), 6)
+        pi, ergodic = stationary(rho)
+        assert ergodic
+        law = pi + 1e-3 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        residual = np.max(np.abs(law / law.sum() @ rho - law / law.sum()))
+        assert 1e-4 <= residual <= 1e-2
+        monkeypatch.setattr(longrun, "_state_reduction", lambda rho: law)
+        damped, ergodic = stationary(rho)
+        assert not ergodic
+        # the fixed point of pi = 0.99 * pi @ rho + 0.01 * uniform
+        assert np.max(np.abs(0.99 * damped @ rho + 0.01 / 6 - damped)) <= 1e-15
+        handed, ergodic = stationary(rho, law)  # the same law, handed in by a block
+        assert not ergodic and handed.tolist() == damped.tolist()
+
     def test_state_reduction_keeps_relative_accuracy(self):
         # two states that swap with chance 1e-14: pi = (1/3, 2/3) whatever eps is
         eps = 1e-14
         rho = np.array([[1 - 2 * eps, 2 * eps], [eps, 1 - eps]])
         pi = _state_reduction(rho)
         assert pi / pi.sum() == pytest.approx([1 / 3, 2 / 3], rel=1e-15)
+
+
+class TestBatchedReduction:
+    """One state reduction for a block of chains of mixed sizes, against the
+    reduction one chain at a time."""
+
+    def test_mixed_sizes_match_the_loop(self):
+        rng = philox(21)
+        for _ in range(50):
+            block = [random_chain(rng, int(size)) for size in rng.integers(1, 48, 4)]
+            for law, rho in zip(_state_reductions(block), block):
+                reference = loop_state_reduction(rho)
+                assert law.shape == reference.shape
+                assert np.max(np.abs(law - reference) / reference) <= 1e-15
+
+    def test_city_blocks_match_the_loop(self):
+        daily = LazyDailyCost(synthetic_scenario(6).stations[2].profile)
+        for first in range(0, 48, 4):
+            block = list(daily.day_transitions(first).values())
+            for law, rho in zip(_state_reductions(block), block):
+                reference = loop_state_reduction(rho)
+                assert np.max(np.abs(law - reference) / reference) <= 1e-15
+
+    def test_degenerate_chains_leave_their_neighbours_alone(self, monkeypatch):
+        rng = philox(22)
+        healthy = [random_chain(rng, 9), random_chain(rng, 5)]
+        block = [healthy[0], TRANSIENT, REDUCIBLE, healthy[1]]
+        laws = _state_reductions(block)
+        assert laws[1] is None and laws[2] is None
+        svds = []
+        original = np.linalg.svd
+
+        def svd(a, **kwargs):
+            svds.append(a.shape)
+            return original(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        chains = [day_chain(rho, law) for rho, law in zip(block, laws)]
+        assert svds == [(3, 3), (3, 3)]  # only the two chains that met a zero pivot
+        assert chains[1].ergodic and np.allclose(chains[1].pi, [0.0, 2 / 7, 5 / 7], atol=1e-12)
+        assert not chains[2].ergodic and chains[2].pi.tolist() == stationary(REDUCIBLE)[0].tolist()
+        for chain, rho in zip((chains[0], chains[3]), healthy):
+            assert chain.ergodic
+            assert chain.pi.tolist() == stationary(rho)[0].tolist()
+            reference = loop_state_reduction(rho)
+            assert chain.pi == pytest.approx(reference / reference.sum(), rel=1e-15, abs=0)
 
 
 class TestLongrunCost:
@@ -181,6 +270,28 @@ class TestLongrunCost:
             expected = float(stationary(rho)[0] @ cost)
             assert abs(source.cost(capacity, 0) - expected) <= 1e-12 * expected, capacity
             assert source.chain(capacity).ergodic
+
+    def test_chain_independent_of_order(self):
+        # a capacity's chain is a function of the profile and the capacity,
+        # which fix its transition block
+        p = synthetic_scenario(6).stations[1].profile
+
+        def seen(source, capacity):
+            chain = source.chain(capacity)
+            return chain.rho.tobytes(), chain.pi.tobytes(), source.cost(capacity, 0)
+
+        alone = {c: seen(LongrunCost(p), c) for c in range(48)}
+        ascending, descending, materialized = LongrunCost(p), LongrunCost(p), LongrunCost(p)
+        for c in range(48):
+            ascending.cost(c, 0)
+        for c in reversed(range(48)):
+            descending.cost(c, 0)
+        table = materialized.materialize(45)
+        for c in range(48):
+            for source in (ascending, descending, materialized):
+                assert seen(source, c) == alone[c], c
+            if c <= 45:
+                assert table.values[c] == (alone[c][2],) * (c + 1)
 
     def test_chain_exposed_with_flags(self):
         chain = day_chain(day_transition(FiniteProfile(()), 3))

@@ -261,17 +261,22 @@ class TestVectorKernel:
                 assert np.array_equal(by_transition.cost_vector(capacity), by_cost.cost_vector(capacity))
 
     def test_capacity_priced_alone_agrees_with_its_block(self):
-        # BLAS may round an entry by where it sits in the vector, so the last
-        # bits may differ; the block's answer is the one every caller sees
+        # BLAS may round an entry by where it sits in the vector or by the
+        # stack's size, so the last bits may differ; the aligned block's
+        # answer, 8 wide for costs and 4 wide for transitions, is the one
+        # every caller sees
         for station in synthetic_scenario(10).stations:
             daily = LazyDailyCost(station.profile)
             block = list(range(16, 24))
-            costs, rhos = daily._price_block(block, True)
-            for capacity, cost, rho in zip(block, costs, rhos):
-                (alone_cost,), (alone_rho,) = daily._price_block([capacity], True)
-                assert np.max(np.abs(alone_cost - cost) / np.maximum(1.0, np.abs(cost))) <= 1e-14
-                assert np.max(np.abs(alone_rho - rho)) <= 1e-14
+            for capacity, cost in zip(block, daily._price_block(block)):
+                (alone,) = daily._price_block([capacity])
+                assert np.max(np.abs(alone - cost) / np.maximum(1.0, np.abs(cost))) <= 1e-14
                 assert np.array_equal(daily.cost_vector(capacity), cost)
+            block = list(range(16, 20))
+            for capacity, rho in zip(block, daily._day_transitions(block)):
+                (alone,) = daily._day_transitions([capacity])
+                assert np.max(np.abs(alone - rho)) <= 1e-14
+                assert np.array_equal(daily.day_transition(capacity), rho)
 
     def test_blocks_identical_across_blas_thread_counts(self):
         # OpenBLAS caps OPENBLAS_NUM_THREADS at the core count; the runtime
@@ -314,16 +319,24 @@ class TestVectorKernel:
         assert daily.cost_vector(9) is stored
 
     def test_block_skips_capacities_already_built(self, price_blocks):
+        # costs come in aligned blocks of 8 and transitions in aligned
+        # blocks of 4; a pass runs only for what is not built yet
         daily = LazyDailyCost(synthetic_scenario(6).stations[0].profile)
         daily.day_transition(12)
-        from_transition_pass = daily.cost_vector(12)
+        with_first_transition = daily.cost_vector(12)
         daily.cost_vector(9)
         daily.day_transition(9)
         daily.cost_vector(3)
         daily.day_transition(4)
-        block, low = list(range(8, 16)), list(range(8))
-        assert price_blocks == [(block, True), (low, False), (low, True)]
-        assert daily.cost_vector(12) is from_transition_pass
+        daily.day_transition(15)
+        assert price_blocks == [
+            (list(range(8, 16)), False),
+            (list(range(12, 16)), True),
+            (list(range(8, 12)), True),
+            (list(range(8)), False),
+            (list(range(4, 8)), True),
+        ]
+        assert daily.cost_vector(12) is with_first_transition
 
     def test_implausible_rates_rejected_at_pricing(self):
         daily = LazyDailyCost(PoissonProfile("big", (0.1, 4000.0), (0.1, 0.0), minutes_per_interval=30.0))
