@@ -425,6 +425,19 @@ def _extended_problem(constraints: Constraints, tables: Sequence[CostSource]):
     return sources, lower, upper, caps
 
 
+def baseline_objectives(constraints: Constraints, tables: Sequence[CostSource]) -> tuple[Number, Number]:
+    """The objective at the baseline docks and bikes (the as-is state), and
+    at the bike-optimal placement on the baseline capacities, which is where
+    greedy ``optimize`` starts its descent and what it reports as
+    ``initial_objective``.  Both are summed as the solvers sum them."""
+    n = len(tables)
+    sources, _, _, caps = _extended_problem(constraints, tables)
+    bikes = constraints.baseline_bikes
+    as_is = sum(sources[s].cost(caps[s] - bikes[s], bikes[s]) for s in range(n))
+    start = bike_optimal(caps, constraints.bike_budget, sources)
+    return as_is, sum(source.cost(d, b) for source, d, b in zip(sources, start.empty_docks, start.bikes))
+
+
 def _run_additions(
     sources,
     lower,

@@ -26,7 +26,14 @@ import numpy as np
 from . import __version__
 from . import demand as demand_mod
 from . import posterior as posterior_mod
-from .allocator import DEFAULT_IMPROVEMENT_THRESHOLD, Constraints, LogEntry, optimize, optimize_tradeoff
+from .allocator import (
+    DEFAULT_IMPROVEMENT_THRESHOLD,
+    Constraints,
+    LogEntry,
+    baseline_objectives,
+    optimize,
+    optimize_tradeoff,
+)
 from .errors import InfeasibleError, ValidationError, read_json, row_list, whole_number
 from .instance import load_instance
 from .longrun import LongrunCost
@@ -387,6 +394,9 @@ def cmd_optimize(args) -> int:
         stats_doc["nonergodic"] = [
             [station, c] for station, built in chains for c, chain in sorted(built.items()) if not chain.ergodic
         ]
+    # the paper's comparison: what rebalancing bikes buys, then moving docks
+    as_is, bike_opt = baseline_objectives(constraints, sources)
+    stats_doc["objectives"] = {"as_is": as_is, "bike_optimal": bike_opt, "plan": result.objective}
 
     out = _outdir(args)
     before_caps = list(constraints.baseline_capacities)

@@ -11,13 +11,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, read_json, reading, whole_number
 
@@ -256,60 +259,157 @@ def _parse_timestamp(raw: str) -> float:
     return stamp.hour * 3600 + stamp.minute * 60 + stamp.second + stamp.microsecond / 1e6
 
 
-def _csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """The ``columns`` fields, in that order, of each non-blank row of the
-    ``what`` CSV file at ``path``. The header must name every column exactly
-    once; other columns are ignored."""
-    with reading(path, f"{what} CSV"), open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not set(columns).issubset(header):
-            raise ValidationError(f"{path}: {what} CSV must have header {','.join(columns)}")
-        for name in columns:
-            if header.count(name) > 1:
-                raise ValidationError(f"{path}: column {name!r} appears {header.count(name)} times in the header")
-        positions = [header.index(name) for name in columns]
-        pick = itemgetter(*positions)
-        width = max(positions) + 1
-        for row in reader:
-            if len(row) >= width:
-                yield pick(row)
-            elif row:
-                raise ValidationError(
-                    f"{path}, line {reader.line_num}: short row, {len(row)} fields where the header has {len(header)}"
-                )
+def _csv_columns(path: str | Path, what: str, columns: Sequence[str]) -> tuple[list[list[str]], ValidationError | None]:
+    """The ``columns`` fields of each non-blank row of the ``what`` CSV file
+    at ``path``, read by ``csv.reader``, one list per column, and the fault
+    that cut the reading short, if any. The header must name every column
+    exactly once; other columns are ignored."""
+    rows: list[tuple[str, ...]] = []  # tuples of str, which the garbage collector soon stops tracking
+    fault = None
+    try:
+        with reading(path, f"{what} CSV"), open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or not set(columns).issubset(header):
+                raise ValidationError(f"{path}: {what} CSV must have header {','.join(columns)}")
+            for name in columns:
+                if header.count(name) > 1:
+                    raise ValidationError(f"{path}: column {name!r} appears {header.count(name)} times in the header")
+            positions = [header.index(name) for name in columns]
+            pick = itemgetter(*positions)
+            width = max(positions) + 1
+            for row in reader:
+                if len(row) >= width:
+                    rows.append(pick(row))
+                elif row:
+                    raise ValidationError(
+                        f"{path}, line {reader.line_num}: short row, {len(row)} fields where the header has {len(header)}"
+                    )
+    except ValidationError as exc:
+        fault = exc
+    return [list(map(itemgetter(k), rows)) for k in range(len(columns))], fault
 
 
-class _Codes(dict):
-    """Codes raw CSV fields by their stripped value, stripping each distinct
-    raw field once; ``names`` lists the stripped values by code."""
+# The widest field, in bytes, that the byte pass gathers.
+_WINDOW = 64
 
-    def __init__(self):
-        super().__init__()
-        self.names: dict[str, int] = {}
 
-    def __missing__(self, raw: str) -> int:
-        code = self[raw] = self.names.setdefault(raw.strip(), len(self.names))
-        return code
+def _plain_columns(path: str | Path, columns: Sequence[str]) -> list[np.ndarray] | None:
+    """The ``columns`` fields of each data row of the CSV file at ``path``,
+    one ``S`` array per column, from vector passes over the file's bytes; or
+    None unless the file is plain. A plain file holds printable ASCII but
+    '"' and line ends that are all LF or all CRLF, has no blank line, has a
+    header that names every column once and at least one data row, and each
+    of its rows has the header's field count. Its fields are at most
+    ``_WINDOW`` bytes. On a plain file ``csv.reader`` reads the same fields."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            buffer = np.zeros(size + _WINDOW, dtype=np.uint8)  # the padding keeps every window inside
+            if fh.readinto(buffer[:size]) != size or fh.read(1):
+                return None
+    except OSError:
+        return None
+    text = buffer[:size]
+    if text.max(initial=0) > ord("~") or (text == ord('"')).any():
+        return None
+    ends, returns, commas = (np.flatnonzero(text == ord(c)) for c in "\n\r,")
+    if np.count_nonzero(text < ord(" ")) != len(ends) + len(returns):
+        return None
+    crlf = len(returns) > 0
+    if crlf and not np.array_equal(returns + 1, ends):
+        return None
+    stops = ends - crlf
+    if size and text[-1] != ord("\n"):
+        stops = np.append(stops, size)
+    starts = np.concatenate(([0], ends + 1))[: len(stops)]
+    if len(stops) < 2 or (starts == stops).any():
+        return None
+    header = text[: stops[0]].tobytes().decode("ascii").split(",")
+    if any(header.count(name) != 1 for name in columns):
+        return None
+    # Every line has the header's field count when each line holds its own
+    # block of that many commas and no comma is left over.
+    last = len(header) - 1
+    if len(commas) != len(stops) * last:
+        return None
+    commas = commas.reshape(len(stops), last)
+    if last and ((commas[:, 0] < starts) | (commas[:, -1] >= stops)).any():
+        return None
+    commas = commas[1:]
+    fields = []
+    for position in map(header.index, columns):
+        lo = starts[1:] if position == 0 else commas[:, position - 1] + 1
+        length = (stops[1:] if position == last else commas[:, position]) - lo
+        if length.max() > _WINDOW:
+            return None
+        width = 8 * max(1, -(-int(length.max()) // 8))  # whole words, for ``_codes``
+        field = sliding_window_view(buffer, width)[lo]
+        for byte in range(int(length.min()), width):  # zero the bytes past each field's end
+            field[:, byte] *= length > byte
+        fields.append(field.view(f"S{width}")[:, 0])
+    return fields
 
-    def column(self, codes: list[int]) -> tuple[tuple[str, ...], np.ndarray]:
-        return tuple(self.names), np.array(codes, dtype=np.intp)
+
+def _read_columns(path: str | Path, what: str, columns: Sequence[str]) -> tuple[list, ValidationError | None]:
+    """The ``columns`` fields of the ``what`` CSV file at ``path``, and the
+    fault that cut the reading short, if any. A plain file takes the byte
+    pass, which gives one ``S`` array per column; any other file is read by
+    ``csv.reader`` into one list of ``str`` per column, up to its first
+    fault."""
+    fields = _plain_columns(path, columns)
+    if fields is not None:
+        return fields, None
+    return _csv_columns(path, what, columns)
+
+
+def _texts(column) -> list[str]:
+    """The fields of an ``S`` array or a list of ``str``, as ``str``."""
+    return column.astype(str).tolist() if isinstance(column, np.ndarray) else column
+
+
+def _codes(column) -> tuple[tuple[str, ...], np.ndarray]:
+    """Codes of the fields of ``column`` by their stripped value, in order of
+    first appearance, and the stripped values by code."""
+    if isinstance(column, list):  # a dict, as np.unique sorts ``str`` objects slowly
+        index: defaultdict[str, int] = defaultdict()
+        index.default_factory = index.__len__
+        key = np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
+        raws = list(index)
+    else:  # an 8-byte field sorts faster as the integer of its bytes
+        raw, inverse = np.unique(column.view(np.uint64) if column.dtype == "S8" else column, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        first = np.full(len(raw), len(column))
+        np.minimum.at(first, inverse, np.arange(len(column)))
+        order = np.argsort(first)
+        key = np.argsort(order)[inverse]
+        raws = _texts(column[first[order]])
+    names: dict[str, int] = {}
+    code = np.array([names.setdefault(raw.strip(), len(names)) for raw in raws], dtype=np.intp)
+    return tuple(names), code[key]
 
 
 # Positions of the digits of a strict YYYY-MM-DD[T ]HH:MM:SS stamp.
 _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 
 
-def _strict_seconds(stamps: list[str]) -> np.ndarray | None:
+def _strict_seconds(stamps) -> np.ndarray | None:
     """Seconds since midnight of every stamp, in one vector pass, if each is
     exactly ``YYYY-MM-DD[T ]HH:MM:SS`` with a valid date and time; else
-    None. Each distinct date is checked by the parser the row path uses."""
-    if set(map(len, stamps)) != {19}:
-        return None
-    try:
-        text = np.frombuffer("".join(stamps).encode("ascii"), dtype=np.uint8).reshape(-1, 19)
-    except UnicodeEncodeError:
-        return None
+    None. ``stamps`` is an ``S`` array or a list of ``str``. Each
+    distinct date is checked by the parser the row path uses."""
+    if isinstance(stamps, np.ndarray):
+        text = stamps.view(np.uint8).reshape(len(stamps), stamps.dtype.itemsize)
+        if text.shape[1] < 19 or text[:, 19:].any():
+            return None
+        text = text[:, :19]
+    else:
+        if set(map(len, stamps)) != {19}:
+            return None
+        try:
+            text = np.frombuffer("".join(stamps).encode("ascii"), dtype=np.uint8).reshape(-1, 19)
+        except UnicodeEncodeError:
+            return None
     digit = text - np.uint8(ord("0"))  # wraps past 9 for any non-digit byte
     if (digit[:, _STAMP_DIGITS] > 9).any():
         return None
@@ -333,38 +433,68 @@ def _strict_seconds(stamps: list[str]) -> np.ndarray | None:
     day = number(0, 4) * 10000 + number(5, 2) * 100 + number(8, 2)
     try:
         for row in np.unique(day, return_index=True)[1].tolist():
-            datetime.fromisoformat(stamps[row])
+            datetime.fromisoformat(text[row].tobytes().decode())
     except ValueError:
         return None
     return (hour * 3600 + minute * 60 + second).astype(np.float64)
 
 
-def _seconds(stamps: list[str]) -> np.ndarray:
+def _seconds(stamps) -> np.ndarray:
     """Seconds since midnight of each stamp: one vector pass when every stamp
-    is strict, else ``_parse_timestamp`` row by row, raising for the first bad
-    stamp."""
+    is strict, else ``_parse_timestamp`` stamp by stamp, raising for the first
+    bad stamp."""
     seconds = _strict_seconds(stamps)
     if seconds is None:
-        seconds = np.array([_parse_timestamp(stamp) for stamp in stamps], dtype=np.float64)
+        seconds = np.array([_parse_timestamp(stamp) for stamp in _texts(stamps)], dtype=np.float64)
     return seconds
+
+
+def _numbers(column, parse, dtype) -> tuple[np.ndarray, int]:
+    """``column`` parsed by ``parse`` into a ``dtype`` array, and the row of
+    the first field that ``parse`` rejects (``len(column)`` if none). A
+    byte-pass field of plain digits (one '.' allowed in a float) goes
+    through numpy's cast, which equals ``parse`` on it; any other field
+    through ``parse``. An integer past int64 turns the column into Python
+    ints."""
+    plain = np.zeros(len(column), dtype=bool)
+    if isinstance(column, np.ndarray):
+        text = column.view(np.uint8).reshape(len(column), column.dtype.itemsize)
+        digits = np.count_nonzero(text - np.uint8(ord("0")) < 10, axis=1)
+        others = np.count_nonzero(text, axis=1) - digits
+        if dtype is np.int64:
+            plain = (digits > 0) & (others == 0) & (digits < 19)
+        else:
+            plain = (digits > 0) & (others == np.count_nonzero(text == ord("."), axis=1)) & (others < 2)
+    values = np.zeros(len(column), dtype=dtype)
+    if plain.any():
+        values[plain] = column[plain].astype(dtype)
+        column = column[~plain]
+    rest = np.flatnonzero(~plain)
+    parsed: list = []
+    try:
+        for field in _texts(column):
+            parsed.append(parse(field))
+    except ValueError:  # ``parsed`` holds the fields before the rejected one
+        pass
+    try:
+        values[rest[: len(parsed)]] = parsed
+    except OverflowError:  # kept exact, so its validation error names it
+        values = values.astype(object)
+        values[rest[: len(parsed)]] = parsed
+    return values, int(rest[len(parsed)]) if len(parsed) < len(rest) else len(values)
+
+
+_TRIP_COLUMNS = ("station_id", "timestamp", "kind")
 
 
 def load_trips_csv(path: str | Path) -> Trips:
     """Read ``station_id,timestamp,kind`` rows; timestamps may be integer
     seconds since midnight or ISO-8601 (auto-detected)."""
-    station_codes, kind_codes = _Codes(), _Codes()
-    station, stamps, kind = [], [], []
-    try:
-        for sid, stamp, what in _csv_rows(path, "trips", ("station_id", "timestamp", "kind")):
-            station.append(station_codes[sid])
-            stamps.append(stamp)
-            kind.append(kind_codes[what])
-    except ValidationError:
-        _seconds(stamps)  # a bad stamp above the row that failed is the first fault
-        raise
-    stations, station = station_codes.column(station)
-    kinds, kind = kind_codes.column(kind)
-    return Trips(stations, station, _seconds(stamps), kinds, kind)
+    (station, stamp, kind), fault = _read_columns(path, "trips", _TRIP_COLUMNS)
+    seconds = _seconds(stamp)  # a bad stamp above the fault is the first fault
+    if fault is not None:
+        raise fault
+    return Trips(*_codes(station), seconds, *_codes(kind))
 
 
 _STATUS_COLUMNS = ("station_id", "interval", "minutes_nonempty", "minutes_nonfull")
@@ -372,22 +502,18 @@ _STATUS_COLUMNS = ("station_id", "interval", "minutes_nonempty", "minutes_nonful
 
 def load_status_csv(path: str | Path) -> StatusRows:
     """Read ``station_id,interval,minutes_nonempty,minutes_nonfull`` rows."""
-    codes = _Codes()
-    station, interval, nonempty, nonfull = [], [], [], []
-    for row in _csv_rows(path, "status", _STATUS_COLUMNS):
-        try:
-            interval.append(int(row[1]))
-            nonempty.append(float(row[2]))
-            nonfull.append(float(row[3]))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: bad status row {dict(zip(_STATUS_COLUMNS, row))}") from exc
-        station.append(codes[row[0]])
-    try:
-        intervals = np.array(interval, dtype=np.int64)
-    except OverflowError:  # kept exact, so its validation error names it
-        intervals = np.array(interval, dtype=object)
-    stations, station = codes.column(station)
-    return StatusRows(stations, station, intervals, np.array(nonempty, dtype=np.float64), np.array(nonfull, dtype=np.float64))
+    columns, fault = _read_columns(path, "status", _STATUS_COLUMNS)
+    (interval, bad_interval), (nonempty, bad_nonempty), (nonfull, bad_nonfull) = (
+        _numbers(column, parse, dtype)
+        for column, parse, dtype in zip(columns[1:], (int, float, float), (np.int64, np.float64, np.float64))
+    )
+    bad = min(bad_interval, bad_nonempty, bad_nonfull)
+    if bad < len(interval):
+        row = [_texts(column[bad : bad + 1])[0] for column in columns]
+        raise ValidationError(f"{path}: bad status row {dict(zip(_STATUS_COLUMNS, row))}")
+    if fault is not None:
+        raise fault
+    return StatusRows(*_codes(columns[0]), interval, nonempty, nonfull)
 
 
 def profiles_to_json(profiles: Sequence[PoissonProfile], horizon: Horizon, days: int | None = None) -> dict:

@@ -567,32 +567,40 @@ class Violation:
 
 def check_multimodular(table: CostTable, tol: float = MULTIMODULAR_TOL) -> list[Violation]:
     """Evaluate the six second-difference inequalities at every grid point
-    where all terms are defined; return the violations beyond ``tol``.
+    where all terms are defined; return the violations beyond ``tol``, by
+    grid point ``(d, b)`` and then in the order 1, 4, 5, 6, 2, 3.
 
     Inequalities (1) and (6) are algebraically the same constraint and (4),
     (5) follow from the first three; all six are still reported separately
     so a failure names every broken form.
     """
-    f = table.cost
     cap = table.max_capacity
-    out: list[Violation] = []
+    floats = all(isinstance(v, float) for row in table.values for v in row)
+    # grid[1 + d, 1 + b] = f(d, b), padded so every shifted term is a slice
+    grid = np.zeros((cap + 4, cap + 4), dtype=np.float64 if floats else object)
+    for s, row in enumerate(table.values):
+        b = np.arange(s + 1)
+        grid[1 + s - b, 1 + b] = row
 
-    def record(ineq: int, d: int, b: int, lhs: Number, rhs: Number) -> None:
-        gap = lhs - rhs
-        if gap < -tol:
-            out.append(Violation(ineq, d, b, float(-gap)))
+    def f(dd: int, db: int) -> np.ndarray:
+        """``f(d + dd, b + db)`` at every ``(d, b)`` of the square."""
+        return grid[1 + dd : 2 + dd + cap, 1 + db : 2 + db + cap]
 
-    for d in range(cap + 1):
-        for b in range(cap + 1 - d):
-            if d + b + 2 <= cap:
-                record(1, d, b, f(d + 1, b + 1) - f(d + 1, b), f(d, b + 1) - f(d, b))
-                record(4, d, b, f(d + 2, b) - f(d + 1, b), f(d + 1, b) - f(d, b))
-                record(5, d, b, f(d, b + 2) - f(d, b + 1), f(d, b + 1) - f(d, b))
-                record(6, d, b, f(d + 1, b + 1) - f(d, b + 1), f(d + 1, b) - f(d, b))
-            if d >= 1 and b >= 1:
-                record(2, d, b, f(d - 1, b + 1) - f(d - 1, b), f(d, b) - f(d, b - 1))
-                record(3, d, b, f(d + 1, b - 1) - f(d, b - 1), f(d, b) - f(d - 1, b))
-    return out
+    d, b = np.indices((cap + 1, cap + 1))
+    inner, corner = d + b + 2 <= cap, (d >= 1) & (b >= 1) & (d + b <= cap)
+    gaps = [  # (lhs - rhs, where it is defined), in the reported order
+        ((f(1, 1) - f(1, 0)) - (f(0, 1) - f(0, 0)), inner),
+        ((f(2, 0) - f(1, 0)) - (f(1, 0) - f(0, 0)), inner),
+        ((f(0, 2) - f(0, 1)) - (f(0, 1) - f(0, 0)), inner),
+        ((f(1, 1) - f(0, 1)) - (f(1, 0) - f(0, 0)), inner),
+        ((f(-1, 1) - f(-1, 0)) - (f(0, 0) - f(0, -1)), corner),
+        ((f(1, -1) - f(0, -1)) - (f(0, 0) - f(-1, 0)), corner),
+    ]
+    failed = np.stack([(gap < -tol) & defined for gap, defined in gaps], axis=-1)
+    return [
+        Violation((1, 4, 5, 6, 2, 3)[k], d, b, float(-gaps[k][0][d, b]))
+        for d, b, k in zip(*(index.tolist() for index in np.nonzero(failed)))
+    ]
 
 
 class CountingSource:

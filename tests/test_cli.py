@@ -105,8 +105,36 @@ class TestOptimizeCommand:
         blocks = {capacity // 4 for capacity in flagged}
         assert flagged == [c for block in sorted(blocks) for c in range(4 * block, 4 * block + 4) if c > 0]
         assert stats["chains_built"] > len(flagged)
-        assert set(read_json(tmp_path / "optimize" / "stats.json")) == {"phases"}
+        assert set(read_json(tmp_path / "optimize" / "stats.json")) == {"phases", "objectives"}
         assert "nonergodic" not in read_json(tmp_path / "longrun" / "allocation.json")
+
+    def test_stats_compare_as_is_bike_optimal_and_plan(self, tmp_path):
+        # the first gap is what rebalancing bikes buys, the second what moving docks buys
+        path = tmp_path / "city.json"
+        save_instance(path, synthetic_scenario(n_stations=8, seed=5, max_moves=10))
+        runs = {
+            "greedy": ("optimize",),
+            "scaling": ("optimize", "--solver", "scaling"),
+            "tradeoff": ("optimize", "--tradeoff", "2,10"),
+            "longrun": ("longrun",),
+        }
+        objectives, initial = {}, {}
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert run(*argv, "--instance", path, "--out", out) == 0
+            stats, allocation = read_json(out / "stats.json"), read_json(out / "allocation.json")
+            extra = {"chains_built", "nonergodic"} if name == "longrun" else set()
+            assert set(stats) == {"phases", "objectives"} | extra
+            assert stats["objectives"]["plan"] == allocation["objective"]
+            objectives[name], initial[name] = stats["objectives"], allocation["initial_objective"]
+        greedy = objectives["greedy"]
+        assert greedy["bike_optimal"] == initial["greedy"]
+        assert greedy["as_is"] > greedy["bike_optimal"] > greedy["plan"]
+        assert objectives["scaling"]["as_is"] == initial["scaling"] == greedy["as_is"]
+        assert objectives["tradeoff"]["bike_optimal"] == greedy["bike_optimal"]
+        assert objectives["tradeoff"]["plan"] <= greedy["plan"]
+        # the long-run cost ignores how a station's bikes split
+        assert objectives["longrun"]["as_is"] == objectives["longrun"]["bike_optimal"]
 
     def test_longrun_tables_reruns_are_byte_identical(self, tmp_path, monkeypatch):
         spec = synthetic_scenario(n_stations=3, seed=3)

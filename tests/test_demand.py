@@ -29,6 +29,7 @@ from dockalloc.demand import (
     save_profiles,
     trips_outside_horizon,
 )
+from dockalloc import demand
 from dockalloc.cli import main
 from dockalloc.errors import ValidationError, reading
 
@@ -652,3 +653,198 @@ def test_estimate_rates_matches_the_record_loop(trips, status, horizon):
         index = [(t - horizon.start_hour * 3600.0) // (horizon.minutes_per_interval * 60.0) for _, t, _ in trips]
         outside = sum(not 0 <= i < horizon.intervals for i in index)
         assert trips_outside_horizon(trips_of(trips), horizon) == outside
+
+
+# The byte pass. A plain file (printable ASCII without '"', all-LF or
+# all-CRLF lines, no blank line, a header naming each column once, at least
+# one data row, every row the header's width and every field at most
+# ``_WINDOW`` bytes) is read by vector passes over its bytes; any other file
+# by csv.reader. Either way the columns are the record loader's.
+def byte_pass_spy(monkeypatch):
+    """Whether each load since the last call took the byte pass."""
+    taken = []
+
+    def spy(path, columns):
+        fields = plain_columns(path, columns)
+        taken.append(fields is not None)
+        return fields
+
+    plain_columns = demand._plain_columns
+    monkeypatch.setattr(demand, "_plain_columns", spy)
+    return taken
+
+
+def spaced(fields):
+    return st.tuples(st.sampled_from(["", " ", "  "]), fields, st.sampled_from(["", " "])).map("".join)
+
+
+_plain_text = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='",'), min_size=1, max_size=12)
+PLAIN_TRIP_FIELDS = {
+    "station_id": spaced(st.one_of(st.sampled_from(["a", "b", "st 7"]), _plain_text)),
+    "timestamp": st.one_of(_strict_stamps, _strict_stamps, st.integers(-5, 90_000).map(str), _plain_text),
+    "kind": spaced(st.sampled_from(["rental", "return", "rental", "x"])),
+}
+_plain_decimals = st.one_of(
+    st.floats(0, 30).map(repr), st.sampled_from(["30", "1.", ".5", "007.50", "0" * 20 + "1", "x", "1e1", "-0.0"])
+)
+PLAIN_STATUS_FIELDS = {
+    "station_id": spaced(st.sampled_from(["a", "b", "st 7"])),
+    "interval": st.one_of(st.integers(0, 47).map(str), st.sampled_from(["007", " 3", "+4", "3.0", "9" * 19, "9" * 30])),
+    "minutes_nonempty": _plain_decimals,
+    "minutes_nonfull": _plain_decimals,
+}
+
+
+@st.composite
+def plain_csv_texts(draw, fields):
+    """Plain CSV text with the ``fields`` columns, some extra ones, all
+    permuted; LF or CRLF lines, with or without a final line end."""
+    header = draw(st.permutations(list(fields) + draw(st.lists(st.sampled_from(["note", "day"]), unique=True))))
+    extra = st.one_of(st.just(""), _plain_text)
+    rows = [header] + [
+        [draw(fields.get(name, extra)) for name in header] for _ in range(draw(st.integers(1, 8)))
+    ]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(",".join(row) for row in rows) + draw(st.sampled_from([end, ""]))
+
+
+@pytest.mark.parametrize(
+    "loader, record_loader, fields",
+    [(load_trips_csv, record_load_trips_csv, PLAIN_TRIP_FIELDS), (load_status_csv, record_load_status_csv, PLAIN_STATUS_FIELDS)],
+    ids=["trips", "status"],
+)
+def test_plain_files_take_the_byte_pass(monkeypatch, loader, record_loader, fields):
+    """Plain files take the byte pass, and load or fail as the record loader."""
+    taken = byte_pass_spy(monkeypatch)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+
+        @given(plain_csv_texts(fields))
+        @settings(max_examples=200)
+        def check(text):
+            path.write_text(text, newline="")
+            taken.clear()
+            assert read_outcome(loader, path) == read_outcome(record_loader, path)
+            assert taken == [True]
+
+        check()
+
+
+TRIPS = "station_id,timestamp,kind\n"
+STATUS = "station_id,interval,minutes_nonempty,minutes_nonfull\n"
+# Files the byte pass refuses.
+REFUSED = {
+    "quoted-field": TRIPS + 'a,"60",rental\n',
+    "quoted-comma": TRIPS + '"a,b",60,rental\n',
+    "lone-cr": TRIPS + "a,60,rental\rb,70,return\n",
+    "cr-inside-a-crlf-file": TRIPS.replace("\n", "\r\n") + "a,60,rental\r\nb,7\r0,return\r\n",
+    "mixed-line-ends": TRIPS + "a,60,rental\r\nb,70,return\n",
+    "nul-byte": TRIPS + "a\0,60,rental\n",
+    "tab": TRIPS + "a\t,60,rental\n",
+    "non-ascii-station": TRIPS + "ä,60,rental\n",
+    "delete-byte": TRIPS + "a\x7f,60,rental\n",
+    "blank-line": TRIPS + "a,60,rental\n\nb,70,return\n",
+    "blank-last-line": TRIPS + "a,60,rental\n\n",
+    "long-row": TRIPS + "a,60,rental\nb,70,return,extra\n",
+    "short-row-with-every-column": "station_id,timestamp,kind,note\na,60,rental,ok\nb,70,return\n",
+    "short-row": TRIPS + "a,60,rental\nb,70\n",
+    "rows-trading-commas": TRIPS + "a,60,rental,\nb,70return\n",
+    "empty-file": "",
+    "header-only": TRIPS,
+    "header-only-without-line-end": TRIPS.rstrip(),
+    "padded-column-name": "station_id,timestamp, kind\na,60,rental\n",
+    "repeated-column-name": "station_id,timestamp,kind,kind\na,60,rental,return\n",
+    "missing-column": "station_id,timestamp\na,60\n",
+    "stamp-beyond-the-window": TRIPS + "a," + "9" * 400 + ",rental\n",
+    "station-beyond-the-window": TRIPS + "a" * 65 + ",60,rental\n",
+    "status-quoted-minutes": STATUS + 'a,0,"30",30\n',
+    "status-interval-beyond-the-window": STATUS + "a," + "9" * 65 + ",30,30\n",
+    "status-bad-row-above-a-short-row": STATUS + "a,0,30,30\na,x,30,30\na,1,30\n",
+}
+# Files right at the limits, which the byte pass takes.
+TAKEN = {
+    "crlf": TRIPS.replace("\n", "\r\n") + "a,60,rental\r\nb,70,return\r\n",
+    "crlf-without-final-line-end": TRIPS.replace("\n", "\r\n") + "a,60,rental\r\nb,70,return",
+    "one-row-without-line-end": TRIPS + "a,60,rental",
+    "empty-fields": TRIPS + ",60,\n",
+    "printable-edges": TRIPS + " ~!,60,rental\n",
+    "station-filling-the-window": TRIPS + "a" * 64 + ",60,rental\n",
+    "status-interval-filling-the-window": STATUS + "a," + "9" * 64 + ",30,30\n",
+    "status-digits-past-int64": STATUS + "a,1,30,30\na,99999999999999999999999,30,30\n",
+    "status-bad-row": STATUS + "a,0,30,30\na,1,30,.\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED) + sorted(TAKEN))
+def test_byte_pass_takes_only_plain_files(tmp_path, monkeypatch, case):
+    text = REFUSED.get(case, TAKEN.get(case))
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode())
+    loader, record_loader = (
+        (load_status_csv, record_load_status_csv) if text.startswith(STATUS) else (load_trips_csv, record_load_trips_csv)
+    )
+    taken = byte_pass_spy(monkeypatch)
+    assert read_outcome(loader, path) == read_outcome(record_loader, path)
+    assert taken == [case in TAKEN]
+
+
+def test_blank_line_of_a_one_column_file_is_refused(tmp_path):
+    # a blank line is one empty field to the comma count, and no row to csv.reader
+    path = tmp_path / "ids.csv"
+    path.write_text("id\na\nb\n")
+    assert demand._plain_columns(path, ("id",))[0].tolist() == [b"a", b"b"]
+    path.write_text("id\na\n\nb\n")
+    assert demand._plain_columns(path, ("id",)) is None
+
+
+def test_missing_file_fails_as_the_record_loader(tmp_path):
+    path = tmp_path / "absent.csv"
+    assert demand._plain_columns(path, demand._TRIP_COLUMNS) is None
+    got = outcome(load_trips_csv, path)
+    assert got == outcome(record_load_trips_csv, path) and got[0] is ValidationError
+
+
+def test_crlf_and_lf_files_load_the_same_columns(tmp_path):
+    lines = [TRIPS.rstrip(), "a,2026-03-02T00:00:08,return", " b ,2026-03-02 23:59:59,rental", "a,2026-03-02T12:00:00,rental"]
+    loads = []
+    for end in ("\n", "\r\n"):
+        path = tmp_path / f"trips{len(end)}.csv"
+        path.write_bytes(end.join(lines).encode())
+        loads.append(table(load_trips_csv(path)))
+    assert loads[0] == loads[1] == [("a", 8.0, "return"), ("b", 86399.0, "rental"), ("a", 43200.0, "rental")]
+
+
+def _decimal_strings():
+    digits = st.text("0123456789", max_size=25)
+    return st.one_of(
+        st.tuples(digits, st.sampled_from(["", "."]), digits).map("".join).filter(lambda s: any(c.isdigit() for c in s)),
+        st.floats(0, 1e300).map(repr).filter(lambda s: "e" not in s),
+        st.integers(0, 10**25).map(lambda n: f"{n}"[:-3] + "." + f"{n}"[-3:] if n >= 1000 else f"{n}"),
+        st.sampled_from(["1.", ".5", "0000000000000000000000001", "9007199254740993", "0.1000000000000000055511151231257827"]),
+    )
+
+
+@given(st.lists(_decimal_strings(), min_size=1, max_size=8))
+@settings(max_examples=300)
+def test_numpy_decimal_cast_equals_float_bit_for_bit(texts):
+    """numpy's bytes to float64 cast, on which plain minutes rely, rounds as
+    ``float`` does, and the column parse returns those bits."""
+    fields = np.array([t.encode() for t in texts])
+    expected = np.array([float(t) for t in texts])
+    assert fields.astype(np.float64).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    values, bad = demand._numbers(fields, float, np.float64)
+    assert bad == len(texts) and values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@given(st.lists(st.text("0123456789", min_size=1, max_size=25), min_size=1, max_size=8))
+@settings(max_examples=300)
+def test_numpy_integer_cast_equals_int(texts):
+    """numpy's bytes to int64 cast equals ``int`` on the digit strings that
+    fit, and the column parse keeps the rest exact."""
+    fields = np.array([t.encode() for t in texts])
+    short = [t for t in texts if len(t) < 19]
+    if short:
+        assert np.array([t.encode() for t in short]).astype(np.int64).tolist() == [int(t) for t in short]
+    values, bad = demand._numbers(fields, int, np.int64)
+    assert bad == len(texts) and values.tolist() == [int(t) for t in texts]
+    assert values.dtype == (np.int64 if all(int(t) < 2**63 for t in texts) else object)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dockalloc import udf
@@ -423,6 +423,60 @@ class TestMultimodularity:
         assert {(v.inequality, v.d, v.b) for v in violations} == {(1, 0, 0), (6, 0, 0)}
         assert all(v.amount == pytest.approx(1e-6) for v in violations)
         assert check_multimodular(CostTable("noise", 2, ((1.0,), (1.0, 1.0), (1.0, 1.0 - 1e-12, 1.0)))) == []
+
+
+# The scalar loop the vector check replaced, kept as its reference.
+def reference_check_multimodular(table, tol=udf.MULTIMODULAR_TOL):
+    f = table.cost
+    cap = table.max_capacity
+    out = []
+
+    def record(ineq, d, b, lhs, rhs):
+        gap = lhs - rhs
+        if gap < -tol:
+            out.append(udf.Violation(ineq, d, b, float(-gap)))
+
+    for d in range(cap + 1):
+        for b in range(cap + 1 - d):
+            if d + b + 2 <= cap:
+                record(1, d, b, f(d + 1, b + 1) - f(d + 1, b), f(d, b + 1) - f(d, b))
+                record(4, d, b, f(d + 2, b) - f(d + 1, b), f(d + 1, b) - f(d, b))
+                record(5, d, b, f(d, b + 2) - f(d, b + 1), f(d, b + 1) - f(d, b))
+                record(6, d, b, f(d + 1, b + 1) - f(d, b + 1), f(d + 1, b) - f(d, b))
+            if d >= 1 and b >= 1:
+                record(2, d, b, f(d - 1, b + 1) - f(d - 1, b), f(d, b) - f(d, b - 1))
+                record(3, d, b, f(d + 1, b - 1) - f(d, b - 1), f(d, b) - f(d - 1, b))
+    return out
+
+
+@st.composite
+def planted_tables(draw):
+    """A multimodular finite-profile table, exact or as floats, or a table of
+    noise; then a few entries pushed up or down by amounts from below the
+    tolerance to far above it."""
+    cap = draw(st.integers(0, 7))
+    exact = draw(st.booleans())
+    if draw(st.integers(0, 3)):
+        atoms = draw(st.lists(st.tuples(events_strategy, st.integers(1, 4)), min_size=1, max_size=3))
+        total = sum(w for _, w in atoms)
+        table = cost_table_from_finite(FiniteProfile(tuple((e, Fraction(w, total)) for e, w in atoms)), cap)
+        rows = [[v if exact else float(v) for v in row] for row in table.values]
+    else:
+        noise = st.fractions(0, 10, max_denominator=12) if exact else st.floats(0, 10)
+        rows = [[draw(noise) for _ in range(s + 1)] for s in range(cap + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        s = draw(st.integers(0, cap))
+        b = draw(st.integers(0, s))
+        amount = draw(st.sampled_from([Fraction(1, 10**12), Fraction(1, 10**6), Fraction(1, 3), Fraction(5)]))
+        rows[s][b] += draw(st.sampled_from([1, -1])) * (amount if exact else float(amount))
+    return CostTable("planted", cap, tuple(tuple(row) for row in rows))
+
+
+@given(planted_tables(), st.sampled_from([0.0, udf.MULTIMODULAR_TOL, 1e-3]))
+@settings(max_examples=300)
+def test_check_multimodular_matches_the_loop(table, tol):
+    """The same violations, in the same order, with the same amounts."""
+    assert check_multimodular(table, tol) == reference_check_multimodular(table, tol)
 
 
 # The replays as they stood before the finite day model and the posterior
