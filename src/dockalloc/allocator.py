@@ -428,14 +428,20 @@ def _extended_problem(constraints: Constraints, tables: Sequence[CostSource]):
 def baseline_objectives(constraints: Constraints, tables: Sequence[CostSource]) -> tuple[Number, Number]:
     """The objective at the baseline docks and bikes (the as-is state), and
     at the bike-optimal placement on the baseline capacities, which is where
-    greedy ``optimize`` starts its descent and what it reports as
+    greedy ``optimize`` starts its descent and what every solver reports as
     ``initial_objective``.  Both are summed as the solvers sum them."""
     n = len(tables)
     sources, _, _, caps = _extended_problem(constraints, tables)
     bikes = constraints.baseline_bikes
     as_is = sum(sources[s].cost(caps[s] - bikes[s], bikes[s]) for s in range(n))
-    start = bike_optimal(caps, constraints.bike_budget, sources)
-    return as_is, sum(source.cost(d, b) for source, d, b in zip(sources, start.empty_docks, start.bikes))
+    return as_is, _bike_optimal_objective(sources, caps, constraints.bike_budget)
+
+
+def _bike_optimal_objective(sources, capacities, bike_budget) -> Number:
+    """The objective at the bike-optimal placement on ``capacities``,
+    summed as the descent sums it."""
+    start = bike_optimal(capacities, bike_budget, sources)
+    return sum(source.cost(d, b) for source, d, b in zip(sources, start.empty_docks, start.bikes))
 
 
 def _run_additions(

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError, read_json, reading, whole_number
+from .errors import ValidationError, csv_lines, read_json, reading, whole_number
 
 RENTAL = "rental"
 RETURN = "return"
@@ -36,7 +36,7 @@ class Horizon:
     minutes_per_interval: float = 30.0
     start_hour: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.intervals < 1:
             raise ValidationError(f"horizon needs at least one interval, got {self.intervals}")
         if not (math.isfinite(self.minutes_per_interval) and self.minutes_per_interval > 0):
@@ -88,7 +88,7 @@ class PoissonProfile:
     start_hour: float = 0.0
     flags: tuple[tuple[int, str, str], ...] = ()  # (interval, kind, flag)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if len(self.rental_rates) != len(self.return_rates):
             raise ValidationError(f"profile {self.station_id!r}: rate vectors differ in length")
         if not self.rental_rates:
@@ -97,6 +97,8 @@ class PoissonProfile:
             raise ValidationError(
                 f"profile {self.station_id!r}: minutes_per_interval must be finite and positive, got {self.minutes_per_interval}"
             )
+        if not 0 <= self.start_hour < 24:
+            raise ValidationError(f"profile {self.station_id!r}: start_hour must lie in [0, 24), got {self.start_hour}")
         for rates in (self.rental_rates, self.return_rates):
             for r in rates:
                 if not (r >= 0 and r == r and r != float("inf")):
@@ -186,7 +188,6 @@ def estimate_rates(
     one in file order: status rows, then trips, then trips at stations
     without status.
     """
-    horizon.validate()
     if days < 1:
         raise ValidationError(f"days must be >= 1, got {days}")
     _validate_status(status, horizon)
@@ -268,7 +269,7 @@ def _csv_columns(path: str | Path, what: str, columns: Sequence[str]) -> tuple[l
     fault = None
     try:
         with reading(path, f"{what} CSV"), open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(csv_lines(fh, path))
             header = next(reader, None)
             if header is None or not set(columns).issubset(header):
                 raise ValidationError(f"{path}: {what} CSV must have header {','.join(columns)}")
@@ -562,9 +563,7 @@ def profiles_from_json(doc: dict) -> tuple[Horizon, list[PoissonProfile]]:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed profiles document: {exc}") from exc
-    horizon.validate()
     for p in profiles:
-        p.validate()
         if p.intervals != horizon.intervals:
             raise ValidationError(f"profile {p.station_id!r} has {p.intervals} intervals, horizon says {horizon.intervals}")
     return horizon, profiles

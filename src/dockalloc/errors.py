@@ -1,5 +1,6 @@
 """Exception types, and the checks the loaders share: reading a file,
-reading a JSON file, finding its row list and whole numbers."""
+reading a JSON file, the lines of a CSV file, finding a row list and whole
+numbers."""
 
 from __future__ import annotations
 
@@ -54,6 +55,16 @@ def reading(path, what: str):
         yield
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: cannot read the {what} file: {exc}") from exc
+
+
+def csv_lines(fh, path):
+    """The lines of the open CSV file ``fh``, for ``csv.reader``. A line
+    with a NUL byte is a ``ValidationError``: Python 3.10's reader refuses
+    it and 3.11's reads it into a field, so a loader refuses it itself."""
+    for number, line in enumerate(fh, start=1):
+        if "\0" in line:
+            raise ValidationError(f"{path}, line {number}: a CSV file may hold no NUL byte")
+        yield line
 
 
 def read_json(path, what: str):

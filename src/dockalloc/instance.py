@@ -86,19 +86,15 @@ def _profile_from_json(doc: dict, station_id: str):
         atoms = []
         for atom in doc["atoms"]:
             atoms.append((tuple(whole_number(x, "event") for x in atom["events"]), _num_from_json(atom["p"])))
-        profile = FiniteProfile(tuple(atoms))
-        profile.validate()
-        return profile
+        return FiniteProfile(tuple(atoms))
     if kind == "poisson":
-        profile = PoissonProfile(
+        return PoissonProfile(
             station_id=station_id,
             rental_rates=tuple(float(r) for r in doc["rental_rates"]),
             return_rates=tuple(float(r) for r in doc["return_rates"]),
             minutes_per_interval=float(doc.get("minutes_per_interval", 30.0)),
             start_hour=float(doc.get("start_hour", 0.0)),
         )
-        profile.validate()
-        return profile
     raise ValidationError(f"unknown profile kind {kind!r}")
 
 

@@ -243,7 +243,6 @@ def expected_cost_finite(profile: FiniteProfile, d: int, b: int) -> Number:
     ``count_stockouts`` replay per atom: the reference for finite cost
     tables. Exact when the probabilities are ``Fraction``s (the
     per-sequence counts are integers)."""
-    profile.validate()
     total = 0
     for events, p in profile.atoms:
         if p == 0:
@@ -267,7 +266,6 @@ def simulate_cost(
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    profile.validate()
     if d < 0 or b < 0:
         raise ValidationError(f"negative state d={d}, b={b}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

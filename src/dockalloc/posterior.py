@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .demand import PoissonProfile
-from .errors import ValidationError, read_json, reading, row_list, whole_number
+from .errors import ValidationError, csv_lines, read_json, reading, row_list, whole_number
 from .udf import DEFAULT_CAPACITY_LIMIT, bike_trajectory, count_stockouts, replay_from_every_start
 
 RULES = ("same_bikes", "proportional")
@@ -53,7 +53,7 @@ class ObservedDay:
     empty_periods: tuple[tuple[int, float], ...] = ()
     rebalancing_events: tuple[tuple[float, int], ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.capacity_before < 0 or self.capacity_after < 0:
             raise ValidationError(f"day at {self.station_id!r}: negative capacity")
         if max(self.capacity_before, self.capacity_after) > DEFAULT_CAPACITY_LIMIT:
@@ -115,7 +115,6 @@ def rebalancing_adjustment(day: ObservedDay, mode: str = "strict") -> tuple[tupl
     """
     if mode not in REBALANCING_MODES:
         raise ValidationError(f"unknown rebalancing mode {mode!r}")
-    day.validate()
     if mode == "none" or not day.rebalancing_events:
         return day.observed_events, tuple(False for _ in day.observed_events)
     if day.event_timestamps is None:
@@ -140,7 +139,6 @@ def rebalancing_adjustment(day: ObservedDay, mode: str = "strict") -> tuple[tupl
 def added_capacity_impact(day: ObservedDay, rule: str = "same_bikes", rebalancing: str = "none") -> int:
     """Avoided stockouts at a station whose capacity grew: replay the
     observed arrivals against the pre-change configuration."""
-    day.validate()
     if day.capacity_before > day.capacity_after:
         raise ValidationError(
             f"day at {day.station_id!r}: capacity decreased; use decreased_capacity_impact"
@@ -215,7 +213,6 @@ def _decreased_impact(day, profile, rule, seed, resamples, rebalancing, price) -
     configuration); ``configs`` holds the (capacity, bikes at open) pairs
     after and before the change, and ``lams`` the Poisson mean of each
     spot's inserted block."""
-    day.validate()
     if day.capacity_before < day.capacity_after:
         raise ValidationError(
             f"day at {day.station_id!r}: capacity increased; use added_capacity_impact"
@@ -233,7 +230,6 @@ def _decreased_impact(day, profile, rule, seed, resamples, rebalancing, price) -
             f"day at {day.station_id!r} has censored periods; demand rates are required to fill them in"
         )
     else:
-        profile.validate()
         for interval, minutes, _ in periods:
             if interval >= profile.intervals:
                 raise ValidationError(f"period interval {interval} outside the profile horizon")
@@ -316,7 +312,6 @@ def posterior_report(
     counted_days = 0
 
     for idx, day in enumerate(days):
-        day.validate()
         entry = per_station.setdefault(
             day.station_id,
             {"station_id": day.station_id, "days": 0, "added": dict.fromkeys(col_keys, 0.0), "removed": dict.fromkeys(col_keys, 0.0)},
@@ -363,7 +358,7 @@ def _periods(pairs) -> tuple[tuple[int, float], ...]:
 
 def _day_from_json(doc: dict) -> ObservedDay:
     try:
-        day = ObservedDay(
+        return ObservedDay(
             station_id=str(doc["station_id"]),
             capacity_before=whole_number(doc["capacity_before"], "capacity_before"),
             capacity_after=whole_number(doc["capacity_after"], "capacity_after"),
@@ -380,8 +375,6 @@ def _day_from_json(doc: dict) -> ObservedDay:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed observed-day document: {exc}") from exc
-    day.validate()
-    return day
 
 
 def days_from_json(doc) -> list[ObservedDay]:
@@ -409,7 +402,7 @@ def days_from_csv(path: str | Path) -> list[ObservedDay]:
     joined by ``|``."""
     days = []
     with reading(path, "days CSV"), open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(csv_lines(fh, path))
         required = {"station_id", "capacity_before", "capacity_after", "bikes_at_open"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValidationError(f"{path}: days CSV must include {sorted(required)}")
@@ -433,7 +426,6 @@ def days_from_csv(path: str | Path) -> list[ObservedDay]:
                 )
             except (AttributeError, ValueError) as exc:
                 raise ValidationError(f"{path}, line {reader.line_num}: malformed day row: {exc}") from exc
-            day.validate()
             days.append(day)
     return days
 

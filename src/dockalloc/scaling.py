@@ -25,6 +25,7 @@ from typing import Sequence
 from .allocator import (
     Constraints,
     OptimizeResult,
+    _bike_optimal_objective,
     _stride_descent,
     _sweep,
     DEFAULT_IMPROVEMENT_THRESHOLD,
@@ -80,27 +81,28 @@ class PhasePlan:
 
 
 def _scaled_descent(plan: PhasePlan, sources, lower, upper, docks, bikes, threshold, max_budget):
-    """The phase plan as the sweep's descent, reporting the as-is baseline
-    objective.  Under a cap only the last stride runs, from the baseline:
-    the cap counts docks moved from the baseline, so a capped stride cannot
-    start where an earlier one stopped.  Without a cap the earlier strides
-    run to a standstill, and their moves and phases come first."""
-    n = len(sources) - 1
-    initial = sum(sources[s].cost(docks[s], bikes[s]) for s in range(n))
+    """The phase plan as the sweep's descent, reporting the bike-optimal
+    baseline objective as greedy does.  Under a cap only the last stride
+    runs, from the baseline: the cap counts docks moved from the baseline,
+    so a capped stride cannot start where an earlier one stopped.  Without
+    a cap the earlier strides run to a standstill, and their moves and
+    phases come first."""
     *earlier, last = plan.step_sizes if max_budget is None else plan.step_sizes[-1:]
+    alone = not earlier and last == 1  # the one stride starts at the bike-optimal baseline
+    initial = None if alone else _bike_optimal_objective(sources, [d + b for d, b in zip(docks, bikes)], sum(bikes))
     log, phases = [], ()
     for step in earlier:
         _, reach = _stride_descent(sources, lower, upper, docks, bikes, threshold, None, step)
         docks, bikes, moves, done = reach(None)
         log += moves
         phases += done
-    _, reach = _stride_descent(sources, lower, upper, docks, bikes, threshold, max_budget, last)
+    start, reach = _stride_descent(sources, lower, upper, docks, bikes, threshold, max_budget, last)
 
     def chained(budget: int | None):
         d, b, moves, done = reach(budget)
         return d, b, log + moves, phases + done
 
-    return initial, chained
+    return start if alone else initial, chained
 
 
 def optimize_scaled(
@@ -118,9 +120,10 @@ def optimize_scaled(
     most ``max_moves // stride`` moves, each of ``stride`` docks, and
     ``phases`` holds that one stride.  That stride runs once and every move
     budget of the sweep reads a prefix of it; a plan that ends at stride 1
-    returns greedy ``optimize``'s result but for ``initial_objective``,
-    which is the as-is baseline here.  Without a cap each phase starts where
-    the one before stopped, and the log holds every phase's moves.  The
+    returns greedy ``optimize``'s result.  Without a cap each phase starts
+    where the one before stopped, and the log holds every phase's moves.
+    ``initial_objective`` is the bike-optimal baseline, as greedy reports
+    it, so an uncapped scaled curve may rise after its first point.  The
     default plan is powers of two up to the dock budget.
     """
     plan = plan or PhasePlan.powers_of_two(constraints.dock_budget)

@@ -101,7 +101,7 @@ class FiniteProfile:
 
     atoms: tuple[tuple[tuple[int, ...], Number], ...]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         total = 0
         for events, p in self.atoms:
             if not p >= 0:
@@ -272,7 +272,6 @@ class LazyDailyCost:
     """
 
     def __init__(self, profile: PoissonProfile | FiniteProfile):
-        profile.validate()
         self.profile = profile
         self._finite = isinstance(profile, FiniteProfile)
         self.station_id = "" if self._finite else profile.station_id
@@ -547,7 +546,6 @@ def cost_table_from_finite(
     profile: FiniteProfile, capacity: int, station_id: str = "", provenance: str = "finite"
 ) -> CostTable:
     """Tabulate a finite profile exactly over the capacity triangle."""
-    profile.validate()
     values = tuple(tuple(_finite_day(profile, s)[0]) for s in range(capacity + 1))
     return CostTable(station_id, capacity, values, provenance)
 

@@ -123,13 +123,13 @@ def test_negative_minutes_rejected():
 
 def test_infinite_interval_length_rejected():
     with pytest.raises(ValidationError, match="minutes_per_interval"):
-        Horizon(intervals=2, minutes_per_interval=float("inf")).validate()
+        Horizon(intervals=2, minutes_per_interval=float("inf"))
 
 
 @pytest.mark.parametrize("minutes", [float("nan"), float("inf"), 0.0, -30.0])
 def test_profile_interval_length_must_be_finite_and_positive(minutes):
     with pytest.raises(ValidationError, match="minutes_per_interval"):
-        PoissonProfile("a", (0.0,), (0.0,), minutes_per_interval=minutes).validate()
+        PoissonProfile("a", (0.0,), (0.0,), minutes_per_interval=minutes)
 
 
 def test_uncovered_trip_station_rejected():
@@ -294,7 +294,6 @@ class StatusRecord:
 
 
 def record_estimate_rates(trips, status, days, horizon=Horizon()):
-    horizon.validate()
     if days < 1:
         raise ValidationError(f"days must be >= 1, got {days}")
     for rec in status:
@@ -784,7 +783,11 @@ def test_byte_pass_takes_only_plain_files(tmp_path, monkeypatch, case):
         (load_status_csv, record_load_status_csv) if text.startswith(STATUS) else (load_trips_csv, record_load_trips_csv)
     )
     taken = byte_pass_spy(monkeypatch)
-    assert read_outcome(loader, path) == read_outcome(record_loader, path)
+    if case == "nul-byte":  # csv.reader refuses it on Python 3.10 and reads it on 3.11
+        expected = (ValidationError, f"{path}, line 2: a CSV file may hold no NUL byte")
+    else:
+        expected = read_outcome(record_loader, path)
+    assert read_outcome(loader, path) == expected
     assert taken == [case in TAKEN]
 
 

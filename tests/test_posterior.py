@@ -73,9 +73,8 @@ class TestAddedCapacity:
     @pytest.mark.parametrize("minutes", [float("nan"), float("inf"), -1.0, 30.5, 3e5])
     def test_censored_period_must_be_finite_and_fit_its_interval(self, minutes):
         profile = PoissonProfile("a", (0.05,), (0.05,), minutes_per_interval=30.0)
-        day = ObservedDay("a", 2, 1, 1, full_periods=((0, minutes),))
         with pytest.raises(ValidationError):
-            decreased_capacity_impact(day, profile, resamples=5)
+            decreased_capacity_impact(ObservedDay("a", 2, 1, 1, full_periods=((0, minutes),)), profile, resamples=5)
 
     def test_wrong_direction_rejected(self):
         day = ObservedDay("a", capacity_before=5, capacity_after=3, bikes_at_open=1)

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from dockalloc.allocator import Constraints, optimize
+from dockalloc.allocator import Constraints, baseline_objectives, optimize
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
 from dockalloc.oracle import brute_force_optimum, random_instance, stride_lattice, synthetic_scenario
@@ -212,9 +212,8 @@ class TestScaledLog:
                 for plan in (PhasePlan.powers_of_two(spec.dock_budget), PhasePlan.hybrid()):
                     scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=0.0)
                     assert scaled.log == greedy.log, (case, z, plan.step_sizes)
-                    # phase stats included; only the reported start differs
-                    same = dataclasses.replace(scaled, initial_objective=greedy.initial_objective)
-                    assert same == greedy, (case, z, plan.step_sizes)
+                    # phase stats and the bike-optimal start included
+                    assert scaled == greedy, (case, z, plan.step_sizes)
 
     def test_capped_plans_log_at_most_cap_over_last_stride(self):
         for case in range(30):
@@ -242,6 +241,20 @@ class TestScaledLog:
                     assert len(scaled.phases) == 1
                     assert relocations(scaled, len(tables)) <= z // last, (case, z, plan.step_sizes)
                     assert scaled.phases[0].iterations == relocations(scaled, len(tables))
+
+    def test_every_plan_reports_the_bike_optimal_start(self):
+        for case in range(20):
+            rng = philox(229, case)
+            spec = random_instance(rng, n_max=5, budget_max=14, surplus=case % 4)
+            tables = spec.tables()
+            plans = (PhasePlan.powers_of_two(spec.dock_budget), PhasePlan.hybrid(), PhasePlan((4, 2)), PhasePlan((3,)))
+            for z in (None, 0, 3):
+                constraints = dataclasses.replace(spec.constraints(), max_moves=z)
+                start = baseline_objectives(constraints, tables)[1]
+                assert optimize(constraints, tables).initial_objective == start
+                for plan in plans:
+                    scaled = optimize_scaled(constraints, tables, plan)
+                    assert scaled.initial_objective == start, (case, z, plan.step_sizes)
 
     def test_two_station_swing_logs_greedy_moves(self):
         # station a empties in the morning and fills at night; b barely moves

@@ -72,14 +72,12 @@ class TestFiniteProfiles:
         assert expected_cost_finite(FiniteProfile(()), 3, 2) == 0
 
     def test_probability_sum_above_one_rejected(self):
-        p = FiniteProfile((((1,), 0.7), ((-1,), 0.5)))
         with pytest.raises(ValidationError, match="exceeding 1"):
-            expected_cost_finite(p, 1, 1)
+            FiniteProfile((((1,), 0.7), ((-1,), 0.5)))
 
     def test_nan_probability_rejected(self):
-        p = FiniteProfile((((1,), float("nan")),))
         with pytest.raises(ValidationError, match="nan"):
-            p.validate()
+            FiniteProfile((((1,), float("nan")),))
 
     @given(st.integers(0, 4), st.integers(0, 4))
     def test_bike_sweep_at_fixed_capacity_is_convex(self, d, b):
