@@ -425,16 +425,13 @@ def _extended_problem(constraints: Constraints, tables: Sequence[CostSource]):
     return sources, lower, upper, caps
 
 
-def baseline_objectives(constraints: Constraints, tables: Sequence[CostSource]) -> tuple[Number, Number]:
-    """The objective at the baseline docks and bikes (the as-is state), and
-    at the bike-optimal placement on the baseline capacities, which is where
-    greedy ``optimize`` starts its descent and what every solver reports as
-    ``initial_objective``.  Both are summed as the solvers sum them."""
-    n = len(tables)
-    sources, _, _, caps = _extended_problem(constraints, tables)
+def as_is_objective(constraints: Constraints, tables: Sequence[CostSource]) -> Number:
+    """The objective at the baseline docks and bikes (the as-is state),
+    summed as the solvers sum theirs.  Every solver reports the objective
+    at the bike-optimal placement on the baseline capacities as
+    ``initial_objective``."""
     bikes = constraints.baseline_bikes
-    as_is = sum(sources[s].cost(caps[s] - bikes[s], bikes[s]) for s in range(n))
-    return as_is, _bike_optimal_objective(sources, caps, constraints.bike_budget)
+    return sum(table.cost(c - b, b) for table, c, b in zip(tables, constraints.baseline_capacities, bikes))
 
 
 def _bike_optimal_objective(sources, capacities, bike_budget) -> Number:

@@ -30,7 +30,7 @@ from .allocator import (
     DEFAULT_IMPROVEMENT_THRESHOLD,
     Constraints,
     LogEntry,
-    baseline_objectives,
+    as_is_objective,
     optimize,
     optimize_tradeoff,
 )
@@ -395,8 +395,8 @@ def cmd_optimize(args) -> int:
             [station, c] for station, built in chains for c, chain in sorted(built.items()) if not chain.ergodic
         ]
     # the paper's comparison: what rebalancing bikes buys, then moving docks
-    as_is, bike_opt = baseline_objectives(constraints, sources)
-    stats_doc["objectives"] = {"as_is": as_is, "bike_optimal": bike_opt, "plan": result.objective}
+    as_is = as_is_objective(constraints, sources)
+    stats_doc["objectives"] = {"as_is": as_is, "bike_optimal": result.initial_objective, "plan": result.objective}
 
     out = _outdir(args)
     before_caps = list(constraints.baseline_capacities)

@@ -60,7 +60,19 @@ def reading(path, what: str):
 def csv_lines(fh, path):
     """The lines of the open CSV file ``fh``, for ``csv.reader``. A line
     with a NUL byte is a ``ValidationError``: Python 3.10's reader refuses
-    it and 3.11's reads it into a field, so a loader refuses it itself."""
+    it and 3.11's reads it into a field, so a loader refuses it itself.
+    The file is searched a block at a time and rewound; only a file that
+    holds a NUL byte or is not UTF-8 is then read line by line through the
+    check, so its faults still come in file order."""
+    try:
+        clean = not any("\0" in block for block in iter(lambda: fh.read(1 << 20), ""))
+    except UnicodeDecodeError:
+        clean = False
+    fh.seek(0)
+    return fh if clean else _checked_lines(fh, path)
+
+
+def _checked_lines(fh, path):
     for number, line in enumerate(fh, start=1):
         if "\0" in line:
             raise ValidationError(f"{path}, line {number}: a CSV file may hold no NUL byte")

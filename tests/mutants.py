@@ -16,15 +16,15 @@ exist with ``pytest -x`` under a timeout, and prints one line per mutant:
 Usage, from the repository root (stdlib only; pytest does not collect this
 file):
 
-    python tests/mutants.py [--timeout SECONDS] [NAME_PREFIX ...]
+    python tests/mutants.py
 
-Before the mutants it runs every listed test file on the unmutated copy,
-and stops if that run fails, since a failing tree kills every mutant.
+Each mutant's test run has ``TIMEOUT`` seconds.  Before the mutants it runs
+every listed test file on the unmutated copy, and stops if that run fails,
+since a failing tree kills every mutant.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 300.0  # seconds per mutant's test run
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,7 @@ def _unchecked(name, file, condition, tests, after=""):
 DEMAND_TESTS = ("test_inputs.py", "test_demand.py", "test_cli.py")
 FINITE_TESTS = ("test_inputs.py", "test_udf.py", "test_oracle.py")
 DAY_TESTS = ("test_inputs.py", "test_posterior.py", "test_loader_fuzz.py")
+NUL_TESTS = ("test_demand.py", "test_cli.py", "test_posterior.py")
 START_HOUR_TAIL = '\n            raise ValidationError(f"start_hour'
 MINUTES = "not (math.isfinite(self.minutes_per_interval) and self.minutes_per_interval > 0)"
 
@@ -104,7 +106,8 @@ MUTANTS = [
         DAY_TESTS,
     ),
     # the CSV loaders
-    _unchecked("csv.nul_byte", "errors.py", '"\\0" in line', ("test_demand.py", "test_cli.py", "test_posterior.py")),
+    Mutant("csv.nul_block", "errors.py", '"\\0" in block', "False", NUL_TESTS),
+    _unchecked("csv.nul_byte", "errors.py", '"\\0" in line', NUL_TESTS),
 ]
 
 
@@ -124,7 +127,7 @@ def _pytest(tree: Path, tests, timeout: float) -> int | None:
         return None
 
 
-def run_mutant(mutant: Mutant, timeout: float) -> str:
+def run_mutant(mutant: Mutant) -> str:
     tests = [t for t in mutant.tests if (ROOT / "tests" / t).exists()]
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
@@ -137,26 +140,21 @@ def run_mutant(mutant: Mutant, timeout: float) -> str:
         if count > 1:
             raise SystemExit(f"{mutant.name}: the text occurs {count} times in {mutant.file}")
         path.write_text(source.replace(mutant.text, mutant.replacement))
-        code = _pytest(tree, tests, timeout)
+        code = _pytest(tree, tests, TIMEOUT)
     return {None: "timed out", 0: "survived", 1: "killed"}.get(code, f"error ({code})")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant's test run")
-    parser.add_argument("names", nargs="*", help="run only the mutants whose name starts with one of these")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.names or m.name.startswith(tuple(args.names))]
-    every_test = sorted({t for m in chosen for t in m.tests if (ROOT / "tests" / t).exists()})
+def main() -> int:
+    every_test = sorted({t for m in MUTANTS for t in m.tests if (ROOT / "tests" / t).exists()})
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         _copy_tree(Path(tmp))
-        if _pytest(Path(tmp), every_test, args.timeout * len(every_test)) != 0:
+        if _pytest(Path(tmp), every_test, TIMEOUT * len(every_test)) != 0:
             print(f"the unmutated tree fails {' '.join(every_test)}; no census")
             return 1
     tally: dict[str, int] = {}
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
-        result = run_mutant(mutant, args.timeout)
+        result = run_mutant(mutant)
         tally[result] = tally.get(result, 0) + 1
         print(f"{mutant.name:24} {mutant.file:13} {result:10} {time.perf_counter() - start:6.1f} s", flush=True)
     print(", ".join(f"{count} {result}" for result, count in sorted(tally.items())))

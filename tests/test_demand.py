@@ -124,12 +124,16 @@ def test_negative_minutes_rejected():
 def test_infinite_interval_length_rejected():
     with pytest.raises(ValidationError, match="minutes_per_interval"):
         Horizon(intervals=2, minutes_per_interval=float("inf"))
+    with pytest.raises(ValidationError, match="minutes_per_interval"):
+        dataclasses.replace(Horizon(intervals=2), minutes_per_interval=float("inf"))
 
 
 @pytest.mark.parametrize("minutes", [float("nan"), float("inf"), 0.0, -30.0])
 def test_profile_interval_length_must_be_finite_and_positive(minutes):
     with pytest.raises(ValidationError, match="minutes_per_interval"):
         PoissonProfile("a", (0.0,), (0.0,), minutes_per_interval=minutes)
+    with pytest.raises(ValidationError, match="minutes_per_interval"):
+        dataclasses.replace(PoissonProfile("a", (0.0,), (0.0,)), minutes_per_interval=minutes)
 
 
 def test_uncovered_trip_station_rejected():
@@ -739,6 +743,7 @@ REFUSED = {
     "cr-inside-a-crlf-file": TRIPS.replace("\n", "\r\n") + "a,60,rental\r\nb,7\r0,return\r\n",
     "mixed-line-ends": TRIPS + "a,60,rental\r\nb,70,return\n",
     "nul-byte": TRIPS + "a\0,60,rental\n",
+    "bad-row-above-a-nul-byte": TRIPS + "a,noon,rental\na\0,60,rental\n",
     "tab": TRIPS + "a\t,60,rental\n",
     "non-ascii-station": TRIPS + "ä,60,rental\n",
     "delete-byte": TRIPS + "a\x7f,60,rental\n",

@@ -31,19 +31,17 @@ DAY = ObservedDay(
 )
 
 # (valid value, fields that break it, a fragment of the message): one or
-# more cases per check, in each type's check order.
+# more cases per check, in each type's check order.  The interval-length
+# cases of tests/test_demand.py and the probability cases of
+# tests/test_udf.py check the same way and are not repeated here.
 BAD = {
     "horizon-no-interval": (HORIZON, {"intervals": 0}, "at least one interval"),
-    "horizon-infinite-minutes": (HORIZON, {"minutes_per_interval": math.inf}, "minutes_per_interval"),
     "horizon-nan-minutes": (HORIZON, {"minutes_per_interval": math.nan}, "minutes_per_interval"),
     "horizon-zero-minutes": (HORIZON, {"minutes_per_interval": 0.0}, "minutes_per_interval"),
     "horizon-start-hour-24": (HORIZON, {"start_hour": 24.0}, "start_hour"),
     "horizon-negative-start-hour": (HORIZON, {"start_hour": -0.5}, "start_hour"),
     "profile-rate-lengths-differ": (PROFILE, {"return_rates": (0.1,)}, "rate vectors differ in length"),
     "profile-empty-horizon": (PROFILE, {"rental_rates": (), "return_rates": (), "flags": ()}, "empty horizon"),
-    "profile-nan-minutes": (PROFILE, {"minutes_per_interval": math.nan}, "minutes_per_interval"),
-    "profile-infinite-minutes": (PROFILE, {"minutes_per_interval": math.inf}, "minutes_per_interval"),
-    "profile-negative-minutes": (PROFILE, {"minutes_per_interval": -30.0}, "minutes_per_interval"),
     "profile-nan-start-hour": (PROFILE, {"start_hour": math.nan}, "start_hour"),
     "profile-start-hour-99": (PROFILE, {"start_hour": 99.0}, "start_hour"),
     "profile-negative-start-hour": (PROFILE, {"start_hour": -1.0}, "start_hour"),
@@ -54,9 +52,7 @@ BAD = {
     "profile-negative-flag": (PROFILE, {"flags": ((-1, "return", "x"),)}, "flag interval -1"),
     "profile-flag-kind": (PROFILE, {"flags": ((0, "ride", "x"),)}, "flag kind 'ride'"),
     "finite-negative-probability": (FINITE, {"atoms": (((1,), -0.25),)}, "non-negative number"),
-    "finite-nan-probability": (FINITE, {"atoms": (((1,), math.nan),)}, "nan"),
     "finite-bad-event": (FINITE, {"atoms": (((1, 2), 0.5),)}, "got 2"),
-    "finite-mass-above-one": (FINITE, {"atoms": (((1,), 0.7), ((-1,), 0.5))}, "exceeding 1"),
     "day-negative-capacity-before": (DAY, {"capacity_before": -1}, "negative capacity"),
     "day-negative-capacity-after": (DAY, {"capacity_after": -1, "bikes_at_open": 0}, "negative capacity"),
     "day-capacity-above-limit": (DAY, {"capacity_before": DEFAULT_CAPACITY_LIMIT + 1}, "above the limit"),

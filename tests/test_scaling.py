@@ -2,12 +2,12 @@ import dataclasses
 
 import pytest
 
-from dockalloc.allocator import Constraints, baseline_objectives, optimize
+from dockalloc.allocator import Constraints, bike_optimal, optimize
 from dockalloc.demand import PoissonProfile
 from dockalloc.errors import ValidationError
 from dockalloc.oracle import brute_force_optimum, random_instance, stride_lattice, synthetic_scenario
 from dockalloc.scaling import PhasePlan, optimize_scaled, optimize_scaled_constrained
-from dockalloc.udf import LazyDailyCost
+from dockalloc.udf import LazyDailyCost, ZeroCost
 
 from conftest import philox
 
@@ -242,6 +242,15 @@ class TestScaledLog:
                     assert relocations(scaled, len(tables)) <= z // last, (case, z, plan.step_sizes)
                     assert scaled.phases[0].iterations == relocations(scaled, len(tables))
 
+    @staticmethod
+    def bike_optimal_start(constraints, tables):
+        """The objective at the bike-optimal placement on the baseline
+        docks, with a depot holding the bikes no station takes."""
+        sources = [*tables, ZeroCost("depot")]
+        budget = constraints.bike_budget
+        start = bike_optimal([*constraints.baseline_capacities, budget], budget, sources)
+        return sum(source.cost(d, b) for source, d, b in zip(sources, start.empty_docks, start.bikes))
+
     def test_every_plan_reports_the_bike_optimal_start(self):
         for case in range(20):
             rng = philox(229, case)
@@ -250,7 +259,7 @@ class TestScaledLog:
             plans = (PhasePlan.powers_of_two(spec.dock_budget), PhasePlan.hybrid(), PhasePlan((4, 2)), PhasePlan((3,)))
             for z in (None, 0, 3):
                 constraints = dataclasses.replace(spec.constraints(), max_moves=z)
-                start = baseline_objectives(constraints, tables)[1]
+                start = self.bike_optimal_start(constraints, tables)
                 assert optimize(constraints, tables).initial_objective == start
                 for plan in plans:
                     scaled = optimize_scaled(constraints, tables, plan)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -74,10 +75,14 @@ class TestFiniteProfiles:
     def test_probability_sum_above_one_rejected(self):
         with pytest.raises(ValidationError, match="exceeding 1"):
             FiniteProfile((((1,), 0.7), ((-1,), 0.5)))
+        with pytest.raises(ValidationError, match="exceeding 1"):
+            dataclasses.replace(FiniteProfile((((1,), 0.7),)), atoms=(((1,), 0.7), ((-1,), 0.5)))
 
     def test_nan_probability_rejected(self):
         with pytest.raises(ValidationError, match="nan"):
             FiniteProfile((((1,), float("nan")),))
+        with pytest.raises(ValidationError, match="nan"):
+            dataclasses.replace(FiniteProfile(()), atoms=(((1,), float("nan")),))
 
     @given(st.integers(0, 4), st.integers(0, 4))
     def test_bike_sweep_at_fixed_capacity_is_convex(self, d, b):
