@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import InfeasibleError, ValidationError
@@ -470,14 +470,16 @@ def _run_additions(
     return start, engine.run(max_iterations=extra, from_station=depot)
 
 
-def _stride_descent(sources, lower, upper, docks, bikes, threshold, max_budget, step=1):
+def _stride_descent(sources, lower, upper, docks, bikes, threshold, max_budget, step):
     """The plain descent at stride ``step``: one run of ``max_budget //
     step`` moves of ``step`` docks each.  It starts by placing the bikes:
     ``bike_optimal`` at stride 1, pairwise stride-``step`` bike moves above.
-    The state for budget ``t`` is the one after the run's first ``t //
-    step`` moves (at stride 1, by prefix optimality, the best within ``t``
-    moves), so one run serves every budget, and its phase stats count the
-    evaluations of the whole run."""
+    Returns the objective at that start, the start's docks and bikes, each
+    move with the objective after it, and the run's phase stats.  The state
+    for budget ``t`` is the start after the run's first ``t // step`` moves
+    (at stride 1, by prefix optimality, the best within ``t`` moves), so one
+    run serves every budget, and its stats count the whole run's
+    evaluations."""
     tally: dict[int, int] = {}
     counted = [CountingSource(s, tally) for s in sources]
     if step == 1:
@@ -490,21 +492,14 @@ def _stride_descent(sources, lower, upper, docks, bikes, threshold, max_budget, 
     engine = _Descent(counted, lower, upper, docks, bikes, stride=step, threshold=threshold)
     initial = engine.objective
     applied = engine.run(max_iterations=None if max_budget is None else max_budget // step)
-
-    def reach(budget: int | None):
-        moves = applied[: None if budget is None else budget // step]
-        d, b = list(docks), list(bikes)
-        _replay(d, b, moves, step)
-        phase = PhaseStats(step, len(moves), bike_moves, dict(sorted(tally.items())))
-        return d, b, moves, (phase,)
-
-    return initial, reach
+    phase = PhaseStats(step, len(applied), bike_moves, dict(sorted(tally.items())))
+    return initial, list(docks), list(bikes), applied, phase
 
 
 def _sweep(
     constraints: Constraints,
     tables: Sequence[CostSource],
-    descend,
+    strides: tuple[int, ...],
     threshold: float,
     tradeoff: tuple[int, int] | None = None,
 ) -> tuple[OptimizeResult, int | None, int]:
@@ -515,23 +510,25 @@ def _sweep(
     and deploys ``deployed`` surplus docks.  Moved docks count twice and
     new or deployed ones once against the distance allowance ``2z + new``,
     so the descent gets the budget ``(2z + new - deployed) // 2``.  The
-    state ``descend`` reaches for that budget then deploys the surplus from
+    state the descent reaches for that budget then deploys the surplus from
     the depot, and the cheapest candidate wins, ties going to fewer new and
     then fewer deployed docks.  Without a cap there is one candidate: the
     uncapped descent, then all the surplus.  Returns the result with the
     chosen ``z`` and ``new``.
 
+    The descent runs the decreasing ``strides`` (greedy is the plan
+    ``(1,)``).  Without a cap each stride starts where the one before
+    stopped.  Under a cap only the last stride runs, from the baseline,
+    since the cap counts docks moved from the baseline, and each budget
+    reads a prefix of that one run; the tests check that it ends at the
+    best allocation within its moves on the baseline's stride lattice.
+    ``initial_objective`` is the bike-optimal baseline's, which a lone
+    stride-1 run starts at.
+
     The additions are prefix-optimal, so each distinct budget gets one
     depot run, stocked for the largest ``deployed`` among its candidates,
     and every candidate of that budget reads its objective off the run
     after its ``deployed``-th move.  Only the winner's state is rebuilt.
-
-    ``descend(sources, lower, upper, docks, bikes, threshold, max_budget)``
-    gets the extended problem, its baseline state and the largest budget
-    any candidate asks for.  It returns the objective at its start state and
-    ``reach(budget)``, which gives the docks, bikes, moves (each with the
-    objective after it) and phase stats for a move budget (None: uncapped).
-    The sweep calls ``reach`` once per distinct budget.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"improvement threshold must be finite and >= 0, got {threshold}")
@@ -557,31 +554,42 @@ def _sweep(
 
     bikes = list(constraints.baseline_bikes) + [constraints.bike_budget - sum(constraints.baseline_bikes)]
     docks = [c - b for c, b in zip(caps, bikes)]
-    initial, reach = descend(sources, lower, upper, docks, bikes, threshold, joint)
+    *earlier, last = strides if joint is None else strides[-1:]
+    alone = not earlier and last == 1  # the one run starts at the bike-optimal baseline
+    initial = None if alone else _bike_optimal_objective(sources, caps, constraints.bike_budget)
+    log, phases = [], ()
+    for step in earlier:
+        _, docks, bikes, moves, phase = _stride_descent(sources, lower, upper, docks, bikes, threshold, None, step)
+        _replay(docks, bikes, moves, step)
+        log += moves
+        phases += (phase,)
+    start, docks, bikes, applied, phase = _stride_descent(sources, lower, upper, docks, bikes, threshold, joint, last)
     best = None
     for budget, group in by_budget.items():
-        d, b, moves, phases = reach(budget)
+        moves = applied[: None if budget is None else budget // last]
+        d, b = list(docks), list(bikes)
+        _replay(d, b, moves, last)
         stock = max(deployed for _, _, deployed in group)
-        start, additions = _run_additions(sources, lower, upper, d, b, stock, threshold=threshold)
+        first, additions = _run_additions(sources, lower, upper, d, b, stock, threshold=threshold)
         for new, z, deployed in group:
             added = min(deployed, len(additions))
-            key = (additions[added - 1][1] if added else start, new, deployed)
+            key = (additions[added - 1][1] if added else first, new, deployed)
             if best is None or key < best[0]:
-                best = (key, z, new, d, b, moves, additions[:added], phases)
+                best = (key, z, new, d, b, moves, additions[:added])
 
-    _, z, new, docks, bikes, moves, additions, phases = best
+    _, z, new, docks, bikes, moves, additions = best
     # replayed without the depot's stock: its dock count is not reported
     _replay(docks, bikes, additions, 1)
     station_costs = tuple(sources[s].cost(docks[s], bikes[s]) for s in range(n))
     result = OptimizeResult(
         allocation=Allocation(tuple(docks[:n]), tuple(bikes[:n])),
         objective=sum(station_costs),
-        initial_objective=initial,
-        log=tuple(LogEntry(it, move, value) for it, (move, value) in enumerate(moves + additions, start=1)),
+        initial_objective=start if alone else initial,
+        log=tuple(LogEntry(it, move, value) for it, (move, value) in enumerate(log + moves + additions, start=1)),
         station_costs=station_costs,
         depot_bikes=bikes[n],
         deployed_docks=len(additions),
-        phases=phases,
+        phases=phases + (replace(phase, iterations=len(moves)),),
     )
     return result, z, new
 
@@ -602,7 +610,7 @@ def optimize(
     greedily out of the depot, each deployment consuming half a move of the
     operational budget.
     """
-    return _sweep(constraints, tables, _stride_descent, improvement_threshold)[0]
+    return _sweep(constraints, tables, (1,), improvement_threshold)[0]
 
 
 def optimize_tradeoff(
@@ -622,5 +630,5 @@ def optimize_tradeoff(
     """
     if constraints.tradeoff is None:
         raise ValidationError("constraints.tradeoff must be set for optimize_tradeoff")
-    result, z, new = _sweep(constraints, tables, _stride_descent, improvement_threshold, constraints.tradeoff)
+    result, z, new = _sweep(constraints, tables, (1,), improvement_threshold, constraints.tradeoff)
     return TradeoffResult(result=result, chosen_moves=z, chosen_new_docks=new)

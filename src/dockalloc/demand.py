@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -37,6 +38,9 @@ class Horizon:
     start_hour: float = 0.0
 
     def __post_init__(self):
+        # a whole count, as for the solver's counts: neither a float nor a bool
+        if type(self.intervals) is not int:
+            raise ValidationError(f"horizon intervals must be an integer, got {self.intervals!r}")
         if self.intervals < 1:
             raise ValidationError(f"horizon needs at least one interval, got {self.intervals}")
         if not (math.isfinite(self.minutes_per_interval) and self.minutes_per_interval > 0):
@@ -101,6 +105,8 @@ class PoissonProfile:
             raise ValidationError(f"profile {self.station_id!r}: start_hour must lie in [0, 24), got {self.start_hour}")
         for rates in (self.rental_rates, self.return_rates):
             for r in rates:
+                if type(r) is not float and not isinstance(r, numbers.Real):  # float first: the ABC check is slow
+                    raise ValidationError(f"profile {self.station_id!r}: rate {r!r} is not a real number")
                 if not (r >= 0 and r == r and r != float("inf")):
                     raise ValidationError(f"profile {self.station_id!r}: rate {r} is not finite and non-negative")
         for interval, kind, _ in self.flags:

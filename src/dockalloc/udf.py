@@ -489,10 +489,6 @@ class CostTable:
             raise CapacityLimitError(f"table {self.station_id!r} covers capacity {self.max_capacity}, asked for {s}")
         return self.values[s][b]
 
-    def marginal(self, d: int, b: int, dd: int, db: int) -> Number:
-        """Cost change of moving from (d, b) to (d + dd, b + db)."""
-        return self.cost(d + dd, b + db) - self.cost(d, b)
-
     def to_json(self) -> dict:
         return {
             "station_id": self.station_id,

@@ -20,7 +20,8 @@ file):
 
 Each mutant's test run has ``TIMEOUT`` seconds.  Before the mutants it runs
 every listed test file on the unmutated copy, and stops if that run fails,
-since a failing tree kills every mutant.
+since a failing tree kills every mutant.  It exits 0 only when every mutant
+is killed, so CI runs it as a gate.
 """
 
 from __future__ import annotations
@@ -58,11 +59,13 @@ DEMAND_TESTS = ("test_inputs.py", "test_demand.py", "test_cli.py")
 FINITE_TESTS = ("test_inputs.py", "test_udf.py", "test_oracle.py")
 DAY_TESTS = ("test_inputs.py", "test_posterior.py", "test_loader_fuzz.py")
 NUL_TESTS = ("test_demand.py", "test_cli.py", "test_posterior.py")
+SOLVER_TESTS = ("test_allocator.py", "test_scaling.py", "test_cli.py")
 START_HOUR_TAIL = '\n            raise ValidationError(f"start_hour'
 MINUTES = "not (math.isfinite(self.minutes_per_interval) and self.minutes_per_interval > 0)"
 
 MUTANTS = [
     # Horizon
+    _unchecked("horizon.integer", "demand.py", "type(self.intervals) is not int", DEMAND_TESTS),
     _unchecked("horizon.intervals", "demand.py", "self.intervals < 1", DEMAND_TESTS),
     _unchecked("horizon.minutes", "demand.py", MINUTES, DEMAND_TESTS, '\n            raise ValidationError(f"minutes'),
     _unchecked("horizon.start_hour", "demand.py", "not 0 <= self.start_hour < 24", DEMAND_TESTS, START_HOUR_TAIL),
@@ -77,6 +80,7 @@ MUTANTS = [
         DEMAND_TESTS,
         '\n            raise ValidationError(f"profile',
     ),
+    _unchecked("profile.real_rates", "demand.py", "type(r) is not float and not isinstance(r, numbers.Real)", DEMAND_TESTS),
     _unchecked("profile.rates", "demand.py", 'not (r >= 0 and r == r and r != float("inf"))', DEMAND_TESTS),
     _unchecked("profile.flag_interval", "demand.py", "not 0 <= interval < self.intervals", DEMAND_TESTS),
     _unchecked("profile.flag_kind", "demand.py", "kind not in (RENTAL, RETURN)", DEMAND_TESTS),
@@ -105,6 +109,16 @@ MUTANTS = [
         "any(abs(count) > DEFAULT_CAPACITY_LIMIT for _, count in self.rebalancing_events)",
         DAY_TESTS,
     ),
+    # the stride plan, as the sweep runs it
+    Mutant("plan.capped_last", "allocator.py", "strides if joint is None else strides[-1:]", "strides", SOLVER_TESTS),
+    Mutant(
+        "plan.initial",
+        "allocator.py",
+        "initial_objective=start if alone else initial",
+        "initial_objective=start",
+        SOLVER_TESTS,
+    ),
+    Mutant("plan.earlier_log", "allocator.py", "enumerate(log + moves + additions", "enumerate(moves + additions", SOLVER_TESTS),
     # the CSV loaders
     Mutant("csv.nul_block", "errors.py", '"\\0" in block', "False", NUL_TESTS),
     _unchecked("csv.nul_byte", "errors.py", '"\\0" in line', NUL_TESTS),
@@ -158,7 +172,7 @@ def main() -> int:
         tally[result] = tally.get(result, 0) + 1
         print(f"{mutant.name:24} {mutant.file:13} {result:10} {time.perf_counter() - start:6.1f} s", flush=True)
     print(", ".join(f"{count} {result}" for result, count in sorted(tally.items())))
-    return 0
+    return 0 if set(tally) == {"killed"} else 1
 
 
 if __name__ == "__main__":

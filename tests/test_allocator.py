@@ -1,6 +1,5 @@
 import dataclasses
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -12,7 +11,9 @@ from dockalloc.allocator import (
     LogEntry,
     OptimizeResult,
     _Descent,
+    _bike_optimal_objective,
     _extended_problem,
+    _replay,
     _stride_descent,
     bike_optimal,
     dock_move_distance,
@@ -27,7 +28,7 @@ from dockalloc.oracle import (
     enumerate_moves,
     random_instance,
 )
-from dockalloc.scaling import PhasePlan, _scaled_descent, optimize_scaled
+from dockalloc.scaling import PhasePlan, optimize_scaled
 from dockalloc.udf import CostTable, FiniteProfile, cost_table_from_finite
 
 from conftest import philox
@@ -479,10 +480,35 @@ class TestTradeoff:
             optimize_tradeoff(spec.constraints(), spec.tables())
 
 
+# The stride plan chained stride by stride: without a cap each stride starts
+# where the one before stopped; under a cap only the last runs, from the
+# baseline.  The start objective is always the bike-optimal baseline's,
+# recomputed, so the sweep's reuse of a lone stride-1 run's start is checked.
+def reference_chain(sources, lower, upper, docks, bikes, strides, threshold, max_budget):
+    initial = _bike_optimal_objective(sources, [d + b for d, b in zip(docks, bikes)], sum(bikes))
+    *earlier, last = strides if max_budget is None else strides[-1:]
+    log, phases = [], ()
+    for step in earlier:
+        _, docks, bikes, moves, phase = _stride_descent(sources, lower, upper, docks, bikes, threshold, None, step)
+        _replay(docks, bikes, moves, step)
+        log, phases = log + moves, phases + (phase,)
+    _, start_docks, start_bikes, applied, phase = _stride_descent(
+        sources, lower, upper, docks, bikes, threshold, max_budget, last
+    )
+
+    def reach(budget):
+        moves = applied[: None if budget is None else budget // last]
+        d, b = list(start_docks), list(start_bikes)
+        _replay(d, b, moves, last)
+        return d, b, log + moves, phases + (dataclasses.replace(phase, iterations=len(moves)),)
+
+    return initial, reach
+
+
 # The sweep as it was before one depot run served every candidate of a move
 # budget: each (new, deployed) candidate reruns the surplus additions from
 # scratch.  The reference the sweep must agree with.
-def reference_sweep(constraints, tables, descend, threshold, tradeoff=None):
+def reference_sweep(constraints, tables, strides, threshold, tradeoff=None):
     n = len(tables)
     sources, lower, upper, caps = _extended_problem(constraints, tables)
     extra = constraints.dock_budget - sum(constraints.baseline_capacities)
@@ -505,7 +531,7 @@ def reference_sweep(constraints, tables, descend, threshold, tradeoff=None):
 
     bikes = list(constraints.baseline_bikes) + [constraints.bike_budget - sum(constraints.baseline_bikes)]
     docks = [c - b for c, b in zip(caps, bikes)]
-    initial, reach = descend(sources, lower, upper, docks, bikes, threshold, joint)
+    initial, reach = reference_chain(sources, lower, upper, docks, bikes, strides, threshold, joint)
     reached = {}
     best = None
     for new, z, deployed, budget in candidates:
@@ -552,11 +578,10 @@ class TestSweepMatchesPerCandidateReference:
                 constraints = dataclasses.replace(spec.constraints(), max_moves=z)
                 for threshold in (0.0, DEFAULT_IMPROVEMENT_THRESHOLD):
                     result = optimize(constraints, tables, improvement_threshold=threshold)
-                    assert result == reference_sweep(constraints, tables, _stride_descent, threshold)[0], (case, z)
-                    for plan in (PhasePlan.hybrid(), PhasePlan.powers_of_two(spec.dock_budget)):
+                    assert result == reference_sweep(constraints, tables, (1,), threshold)[0], (case, z)
+                    for plan in (PhasePlan.hybrid(), PhasePlan.powers_of_two(spec.dock_budget), PhasePlan((4, 2))):
                         scaled = optimize_scaled(constraints, tables, plan, improvement_threshold=threshold)
-                        descend = partial(_scaled_descent, plan)
-                        assert scaled == reference_sweep(constraints, tables, descend, threshold)[0], (case, z)
+                        assert scaled == reference_sweep(constraints, tables, plan.step_sizes, threshold)[0], (case, z)
                 result = optimize(constraints, tables, improvement_threshold=0.0)
                 assert result.objective == exact[max(exact) if z is None else min(z, max(exact))][1], (case, z)
 
@@ -570,7 +595,7 @@ class TestSweepMatchesPerCandidateReference:
                 constraints = dataclasses.replace(spec.constraints(), tradeoff=(unit_cost, joint))
                 for threshold in (0.0, DEFAULT_IMPROVEMENT_THRESHOLD):
                     trade = optimize_tradeoff(constraints, tables, improvement_threshold=threshold)
-                    result, z, new = reference_sweep(constraints, tables, _stride_descent, threshold, (unit_cost, joint))
+                    result, z, new = reference_sweep(constraints, tables, (1,), threshold, (unit_cost, joint))
                     assert (trade.result, trade.chosen_moves, trade.chosen_new_docks) == (result, z, new), case
                 trade = optimize_tradeoff(constraints, tables, improvement_threshold=0.0)
                 exact = brute_force_tradeoff(dataclasses.replace(spec, tradeoff=(unit_cost, joint)))[3]

@@ -35,6 +35,9 @@ DAY = ObservedDay(
 # cases of tests/test_demand.py and the probability cases of
 # tests/test_udf.py check the same way and are not repeated here.
 BAD = {
+    "horizon-fractional-intervals": (HORIZON, {"intervals": 2.5}, "intervals must be an integer, got 2.5"),
+    "horizon-bool-intervals": (HORIZON, {"intervals": True}, "intervals must be an integer, got True"),
+    "horizon-string-intervals": (HORIZON, {"intervals": "4"}, "intervals must be an integer, got '4'"),
     "horizon-no-interval": (HORIZON, {"intervals": 0}, "at least one interval"),
     "horizon-nan-minutes": (HORIZON, {"minutes_per_interval": math.nan}, "minutes_per_interval"),
     "horizon-zero-minutes": (HORIZON, {"minutes_per_interval": 0.0}, "minutes_per_interval"),
@@ -45,6 +48,8 @@ BAD = {
     "profile-nan-start-hour": (PROFILE, {"start_hour": math.nan}, "start_hour"),
     "profile-start-hour-99": (PROFILE, {"start_hour": 99.0}, "start_hour"),
     "profile-negative-start-hour": (PROFILE, {"start_hour": -1.0}, "start_hour"),
+    "profile-string-rate": (PROFILE, {"rental_rates": ("0.1", 0.2)}, "rate '0.1' is not a real number"),
+    "profile-none-rate": (PROFILE, {"return_rates": (0.2, None)}, "rate None is not a real number"),
     "profile-negative-rate": (PROFILE, {"rental_rates": (0.1, -0.2)}, "rate -0.2"),
     "profile-nan-rate": (PROFILE, {"return_rates": (math.nan, 0.1)}, "rate nan"),
     "profile-infinite-rate": (PROFILE, {"return_rates": (0.1, math.inf)}, "rate inf"),

@@ -379,11 +379,6 @@ class TestCostTable:
         # row s lists b = 0..s
         assert table.values[1] == (expected_cost_finite(p, 1, 0), expected_cost_finite(p, 0, 1))
 
-    def test_marginal_accessor(self):
-        p = FiniteProfile((((-1,), 1.0),))
-        table = cost_table_from_finite(p, 3)
-        assert table.marginal(1, 0, -1, 1) == table.cost(0, 1) - table.cost(1, 0)
-
 
 class TestMultimodularity:
     @given(st.data())
