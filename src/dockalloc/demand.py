@@ -23,10 +23,27 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError, csv_lines, read_json, reading, whole_number
+from .errors import ValidationError, csv_lines, read_json, real_number, reading, whole_number
 
 RENTAL = "rental"
 RETURN = "return"
+
+
+def _is_real(value) -> bool:
+    """A real number and not a ``bool``; a float first, as the ABC check is slow."""
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def _check_clock(owner, prefix: str) -> None:
+    """The checks a ``Horizon`` and a ``PoissonProfile`` share, each message
+    behind ``prefix``: real minutes, finite and positive, and a real start hour in [0, 24)."""
+    for name in ("minutes_per_interval", "start_hour"):
+        if not _is_real(getattr(owner, name)):
+            raise ValidationError(f"{prefix}{name} must be a real number, got {getattr(owner, name)!r}")
+    if not (math.isfinite(owner.minutes_per_interval) and owner.minutes_per_interval > 0):
+        raise ValidationError(f"{prefix}minutes_per_interval must be finite and positive, got {owner.minutes_per_interval}")
+    if not 0 <= owner.start_hour < 24:
+        raise ValidationError(f"{prefix}start_hour must lie in [0, 24), got {owner.start_hour}")
 
 
 @dataclass(frozen=True)
@@ -43,10 +60,7 @@ class Horizon:
             raise ValidationError(f"horizon intervals must be an integer, got {self.intervals!r}")
         if self.intervals < 1:
             raise ValidationError(f"horizon needs at least one interval, got {self.intervals}")
-        if not (math.isfinite(self.minutes_per_interval) and self.minutes_per_interval > 0):
-            raise ValidationError(f"minutes_per_interval must be finite and positive, got {self.minutes_per_interval}")
-        if not 0 <= self.start_hour < 24:
-            raise ValidationError(f"start_hour must lie in [0, 24), got {self.start_hour}")
+        _check_clock(self, "")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,18 +111,12 @@ class PoissonProfile:
             raise ValidationError(f"profile {self.station_id!r}: rate vectors differ in length")
         if not self.rental_rates:
             raise ValidationError(f"profile {self.station_id!r}: empty horizon")
-        if not (math.isfinite(self.minutes_per_interval) and self.minutes_per_interval > 0):
-            raise ValidationError(
-                f"profile {self.station_id!r}: minutes_per_interval must be finite and positive, got {self.minutes_per_interval}"
-            )
-        if not 0 <= self.start_hour < 24:
-            raise ValidationError(f"profile {self.station_id!r}: start_hour must lie in [0, 24), got {self.start_hour}")
-        for rates in (self.rental_rates, self.return_rates):
-            for r in rates:
-                if type(r) is not float and not isinstance(r, numbers.Real):  # float first: the ABC check is slow
-                    raise ValidationError(f"profile {self.station_id!r}: rate {r!r} is not a real number")
-                if not (r >= 0 and r == r and r != float("inf")):
-                    raise ValidationError(f"profile {self.station_id!r}: rate {r} is not finite and non-negative")
+        _check_clock(self, f"profile {self.station_id!r}: ")
+        for r in (*self.rental_rates, *self.return_rates):
+            if not _is_real(r):
+                raise ValidationError(f"profile {self.station_id!r}: rate {r!r} is not a real number")
+            if not (r >= 0 and r == r and r != float("inf")):
+                raise ValidationError(f"profile {self.station_id!r}: rate {r} is not finite and non-negative")
         for interval, kind, _ in self.flags:
             if not 0 <= interval < self.intervals:
                 raise ValidationError(
@@ -383,8 +391,9 @@ def _codes(column) -> tuple[tuple[str, ...], np.ndarray]:
         index.default_factory = index.__len__
         key = np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
         raws = list(index)
-    else:  # an 8-byte field sorts faster as the integer of its bytes
-        raw, inverse = np.unique(column.view(np.uint64) if column.dtype == "S8" else column, return_inverse=True)
+    else:  # grouped by raw bytes, which sort faster than ``S``; one word as an integer
+        width = column.dtype.itemsize
+        raw, inverse = np.unique(column.view(np.uint64 if width == 8 else f"V{width}"), return_inverse=True)
         inverse = inverse.reshape(-1)
         first = np.full(len(raw), len(column))
         np.minimum.at(first, inverse, np.arange(len(column)))
@@ -458,37 +467,24 @@ def _seconds(stamps) -> np.ndarray:
 
 def _numbers(column, parse, dtype) -> tuple[np.ndarray, int]:
     """``column`` parsed by ``parse`` into a ``dtype`` array, and the row of
-    the first field that ``parse`` rejects (``len(column)`` if none). A
-    byte-pass field of plain digits (one '.' allowed in a float) goes
-    through numpy's cast, which equals ``parse`` on it; any other field
-    through ``parse``. An integer past int64 turns the column into Python
-    ints."""
-    plain = np.zeros(len(column), dtype=bool)
-    if isinstance(column, np.ndarray):
-        text = column.view(np.uint8).reshape(len(column), column.dtype.itemsize)
-        digits = np.count_nonzero(text - np.uint8(ord("0")) < 10, axis=1)
-        others = np.count_nonzero(text, axis=1) - digits
-        if dtype is np.int64:
-            plain = (digits > 0) & (others == 0) & (digits < 19)
-        else:
-            plain = (digits > 0) & (others == np.count_nonzero(text == ord("."), axis=1)) & (others < 2)
-    values = np.zeros(len(column), dtype=dtype)
-    if plain.any():
-        values[plain] = column[plain].astype(dtype)
-        column = column[~plain]
-    rest = np.flatnonzero(~plain)
+    the first field that ``parse`` rejects (``len(column)`` if none). Each
+    distinct stripped field is parsed once, in order of first appearance, up
+    to the first one rejected. An integer past int64 turns the column into
+    Python ints."""
+    names, code = _codes(column)
     parsed: list = []
     try:
-        for field in _texts(column):
-            parsed.append(parse(field))
+        for name in names:
+            parsed.append(parse(name))
     except ValueError:  # ``parsed`` holds the fields before the rejected one
         pass
+    values = np.zeros(len(names), dtype=dtype)
     try:
-        values[rest[: len(parsed)]] = parsed
+        values[: len(parsed)] = parsed
     except OverflowError:  # kept exact, so its validation error names it
         values = values.astype(object)
-        values[rest[: len(parsed)]] = parsed
-    return values, int(rest[len(parsed)]) if len(parsed) < len(rest) else len(values)
+        values[: len(parsed)] = parsed
+    return values[code], int((code == len(parsed)).argmax()) if len(parsed) < len(names) else len(code)
 
 
 _TRIP_COLUMNS = ("station_id", "timestamp", "kind")
@@ -510,17 +506,13 @@ _STATUS_COLUMNS = ("station_id", "interval", "minutes_nonempty", "minutes_nonful
 def load_status_csv(path: str | Path) -> StatusRows:
     """Read ``station_id,interval,minutes_nonempty,minutes_nonfull`` rows."""
     columns, fault = _read_columns(path, "status", _STATUS_COLUMNS)
-    (interval, bad_interval), (nonempty, bad_nonempty), (nonfull, bad_nonfull) = (
-        _numbers(column, parse, dtype)
-        for column, parse, dtype in zip(columns[1:], (int, float, float), (np.int64, np.float64, np.float64))
-    )
-    bad = min(bad_interval, bad_nonempty, bad_nonfull)
-    if bad < len(interval):
+    values, rows = zip(*map(_numbers, columns[1:], (int, float, float), (np.int64, np.float64, np.float64)))
+    if (bad := min(rows)) < len(columns[0]):
         row = [_texts(column[bad : bad + 1])[0] for column in columns]
         raise ValidationError(f"{path}: bad status row {dict(zip(_STATUS_COLUMNS, row))}")
     if fault is not None:
         raise fault
-    return StatusRows(*_codes(columns[0]), interval, nonempty, nonfull)
+    return StatusRows(*_codes(columns[0]), *values)
 
 
 def profiles_to_json(profiles: Sequence[PoissonProfile], horizon: Horizon, days: int | None = None) -> dict:
@@ -550,14 +542,14 @@ def profiles_from_json(doc: dict) -> tuple[Horizon, list[PoissonProfile]]:
         h = doc["horizon"]
         horizon = Horizon(
             intervals=whole_number(h["intervals"], "horizon intervals"),
-            minutes_per_interval=float(h["minutes_per_interval"]),
-            start_hour=float(h.get("start_hour", 0.0)),
+            minutes_per_interval=real_number(h["minutes_per_interval"], "minutes_per_interval"),
+            start_hour=real_number(h.get("start_hour", 0.0), "start_hour"),
         )
         profiles = [
             PoissonProfile(
                 station_id=str(s["id"]),
-                rental_rates=tuple(float(r) for r in s["rental_rates"]),
-                return_rates=tuple(float(r) for r in s["return_rates"]),
+                rental_rates=tuple(real_number(r, "rate") for r in s["rental_rates"]),
+                return_rates=tuple(real_number(r, "rate") for r in s["return_rates"]),
                 minutes_per_interval=horizon.minutes_per_interval,
                 start_hour=horizon.start_hour,
                 flags=tuple(

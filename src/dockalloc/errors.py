@@ -1,6 +1,6 @@
 """Exception types, and the checks the loaders share: reading a file,
-reading a JSON file, the lines of a CSV file, finding a row list and whole
-numbers."""
+reading a JSON file, the lines of a CSV file, finding a row list, whole
+numbers and real numbers."""
 
 from __future__ import annotations
 
@@ -44,6 +44,13 @@ def whole_number(value, what: str) -> int:
         return int(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a whole number, got {value!r}") from exc
+
+
+def real_number(value, what: str) -> float:
+    """``float(value)``; a ``bool`` (JSON ``true``/``false``) is a ``ValidationError``."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{what} must be a real number, got {value}")
+    return float(value)
 
 
 @contextmanager

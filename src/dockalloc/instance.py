@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .allocator import Constraints
 from .demand import PoissonProfile
-from .errors import CapacityLimitError, ValidationError, read_json, whole_number
+from .errors import CapacityLimitError, ValidationError, read_json, real_number, whole_number
 from .udf import (
     DEFAULT_CAPACITY_LIMIT,
     CostSource,
@@ -90,10 +90,10 @@ def _profile_from_json(doc: dict, station_id: str):
     if kind == "poisson":
         return PoissonProfile(
             station_id=station_id,
-            rental_rates=tuple(float(r) for r in doc["rental_rates"]),
-            return_rates=tuple(float(r) for r in doc["return_rates"]),
-            minutes_per_interval=float(doc.get("minutes_per_interval", 30.0)),
-            start_hour=float(doc.get("start_hour", 0.0)),
+            rental_rates=tuple(real_number(r, "rate") for r in doc["rental_rates"]),
+            return_rates=tuple(real_number(r, "rate") for r in doc["return_rates"]),
+            minutes_per_interval=real_number(doc.get("minutes_per_interval", 30.0), "minutes_per_interval"),
+            start_hour=real_number(doc.get("start_hour", 0.0), "start_hour"),
         )
     raise ValidationError(f"unknown profile kind {kind!r}")
 

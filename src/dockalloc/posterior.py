@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .demand import PoissonProfile
-from .errors import ValidationError, csv_lines, read_json, reading, row_list, whole_number
+from .errors import ValidationError, csv_lines, read_json, reading, real_number, row_list, whole_number
 from .udf import DEFAULT_CAPACITY_LIMIT, bike_trajectory, count_stockouts, replay_from_every_start
 
 RULES = ("same_bikes", "proportional")
@@ -353,7 +353,7 @@ def posterior_report(
 
 
 def _periods(pairs) -> tuple[tuple[int, float], ...]:
-    return tuple((whole_number(i, "interval"), float(m)) for i, m in pairs)
+    return tuple((whole_number(i, "interval"), real_number(m, "minutes")) for i, m in pairs)
 
 
 def _day_from_json(doc: dict) -> ObservedDay:
@@ -365,12 +365,12 @@ def _day_from_json(doc: dict) -> ObservedDay:
             bikes_at_open=whole_number(doc["bikes_at_open"], "bikes_at_open"),
             observed_events=tuple(whole_number(x, "event") for x in doc.get("observed_events", [])),
             event_timestamps=(
-                tuple(float(t) for t in doc["event_timestamps"]) if doc.get("event_timestamps") is not None else None
+                None if doc.get("event_timestamps") is None else tuple(real_number(t, "timestamp") for t in doc["event_timestamps"])
             ),
             full_periods=_periods(doc.get("full_periods", [])),
             empty_periods=_periods(doc.get("empty_periods", [])),
             rebalancing_events=tuple(
-                (float(t), whole_number(c, "count")) for t, c in doc.get("rebalancing_events", [])
+                (real_number(t, "timestamp"), whole_number(c, "count")) for t, c in doc.get("rebalancing_events", [])
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -31,7 +31,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .demand import PoissonProfile
-from .errors import CapacityLimitError, ValidationError, read_json, whole_number
+from .errors import CapacityLimitError, ValidationError, read_json, real_number, whole_number
 
 Number = int | float | Fraction
 
@@ -527,7 +527,7 @@ def _num_from_json(v) -> Number:
             return Fraction(v)
         except ZeroDivisionError as exc:
             raise ValidationError(f"number {v!r} divides by zero") from exc
-    return float(v)
+    return real_number(v, "value")
 
 
 def save_cost_table(path: str | Path, table: CostTable) -> None:

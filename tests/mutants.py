@@ -56,34 +56,36 @@ def _unchecked(name, file, condition, tests, after=""):
 
 
 DEMAND_TESTS = ("test_inputs.py", "test_demand.py", "test_cli.py")
+JSON_TESTS = ("test_inputs.py", "test_loader_fuzz.py")
 FINITE_TESTS = ("test_inputs.py", "test_udf.py", "test_oracle.py")
 DAY_TESTS = ("test_inputs.py", "test_posterior.py", "test_loader_fuzz.py")
 NUL_TESTS = ("test_demand.py", "test_cli.py", "test_posterior.py")
 SOLVER_TESTS = ("test_allocator.py", "test_scaling.py", "test_cli.py")
-START_HOUR_TAIL = '\n            raise ValidationError(f"start_hour'
-MINUTES = "not (math.isfinite(self.minutes_per_interval) and self.minutes_per_interval > 0)"
 
 MUTANTS = [
     # Horizon
     _unchecked("horizon.integer", "demand.py", "type(self.intervals) is not int", DEMAND_TESTS),
     _unchecked("horizon.intervals", "demand.py", "self.intervals < 1", DEMAND_TESTS),
-    _unchecked("horizon.minutes", "demand.py", MINUTES, DEMAND_TESTS, '\n            raise ValidationError(f"minutes'),
-    _unchecked("horizon.start_hour", "demand.py", "not 0 <= self.start_hour < 24", DEMAND_TESTS, START_HOUR_TAIL),
+    Mutant("horizon.clock", "demand.py", '_check_clock(self, "")', "None", DEMAND_TESTS),
+    # the minutes and start hour of both
+    _unchecked("clock.real", "demand.py", "not _is_real(getattr(owner, name))", DEMAND_TESTS),
+    _unchecked(
+        "clock.minutes", "demand.py", "not (math.isfinite(owner.minutes_per_interval) and owner.minutes_per_interval > 0)", DEMAND_TESTS
+    ),
+    _unchecked("clock.start_hour", "demand.py", "not 0 <= owner.start_hour < 24", DEMAND_TESTS),
     # PoissonProfile
     _unchecked("profile.lengths", "demand.py", "len(self.rental_rates) != len(self.return_rates)", DEMAND_TESTS),
     _unchecked("profile.empty", "demand.py", "not self.rental_rates", DEMAND_TESTS),
-    _unchecked("profile.minutes", "demand.py", MINUTES, DEMAND_TESTS, "\n            raise ValidationError(\n"),
-    _unchecked(
-        "profile.start_hour",
-        "demand.py",
-        "not 0 <= self.start_hour < 24",
-        DEMAND_TESTS,
-        '\n            raise ValidationError(f"profile',
-    ),
-    _unchecked("profile.real_rates", "demand.py", "type(r) is not float and not isinstance(r, numbers.Real)", DEMAND_TESTS),
+    Mutant("profile.clock", "demand.py", '_check_clock(self, f"profile {self.station_id!r}: ")', "None", DEMAND_TESTS),
+    _unchecked("profile.real_rates", "demand.py", "not _is_real(r)", DEMAND_TESTS),
     _unchecked("profile.rates", "demand.py", 'not (r >= 0 and r == r and r != float("inf"))', DEMAND_TESTS),
     _unchecked("profile.flag_interval", "demand.py", "not 0 <= interval < self.intervals", DEMAND_TESTS),
     _unchecked("profile.flag_kind", "demand.py", "kind not in (RENTAL, RETURN)", DEMAND_TESTS),
+    # a bool is no real number, to the two types and to the JSON readers
+    Mutant("real.bool", "demand.py", " and not isinstance(value, bool)", "", DEMAND_TESTS),
+    _unchecked(
+        "json.real_bool", "errors.py", "isinstance(value, bool)", JSON_TESTS, '\n        raise ValidationError(f"{what} must be a real'
+    ),
     # FiniteProfile
     _unchecked("finite.probability", "udf.py", "not p >= 0", FINITE_TESTS),
     Mutant("finite.events", "udf.py", "                if x not in (1, -1):", "                if False:", FINITE_TESTS),
@@ -119,6 +121,22 @@ MUTANTS = [
         SOLVER_TESTS,
     ),
     Mutant("plan.earlier_log", "allocator.py", "enumerate(log + moves + additions", "enumerate(moves + additions", SOLVER_TESTS),
+    # status numbers, parsed once per distinct field
+    Mutant(
+        "numbers.last_bad",
+        "demand.py",
+        "int((code == len(parsed)).argmax())",
+        "len(code) - 1 - int((code == len(parsed))[::-1].argmax())",
+        DEMAND_TESTS,
+    ),
+    Mutant(
+        "numbers.no_bad",
+        "demand.py",
+        "int((code == len(parsed)).argmax()) if len(parsed) < len(names) else len(code)",
+        "len(code)",
+        DEMAND_TESTS,
+    ),
+    Mutant("numbers.overflow", "demand.py", "except OverflowError:", "except ZeroDivisionError:", DEMAND_TESTS),
     # the CSV loaders
     Mutant("csv.nul_block", "errors.py", '"\\0" in block', "False", NUL_TESTS),
     _unchecked("csv.nul_byte", "errors.py", '"\\0" in line', NUL_TESTS),

@@ -61,7 +61,8 @@ class TestOptimizeCommand:
         report = read_json(out / "allocation.json")
         assert as_number(report["objective"]) == 1
         assert report["moves"] == 1
-        rows = list(csv.DictReader(open(out / "moves.csv")))
+        with open(out / "moves.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["kind"] for r in rows] == ["E"]
         assert (out / "manifest.json").exists()
         assert (out / "curve.csv").exists()

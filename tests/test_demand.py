@@ -835,8 +835,8 @@ def _decimal_strings():
 @given(st.lists(_decimal_strings(), min_size=1, max_size=8))
 @settings(max_examples=300)
 def test_numpy_decimal_cast_equals_float_bit_for_bit(texts):
-    """numpy's bytes to float64 cast, on which plain minutes rely, rounds as
-    ``float`` does, and the column parse returns those bits."""
+    """numpy's bytes to float64 cast rounds as ``float`` does, and the
+    column parse returns those bits."""
     fields = np.array([t.encode() for t in texts])
     expected = np.array([float(t) for t in texts])
     assert fields.astype(np.float64).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
@@ -856,3 +856,82 @@ def test_numpy_integer_cast_equals_int(texts):
     values, bad = demand._numbers(fields, int, np.int64)
     assert bad == len(texts) and values.tolist() == [int(t) for t in texts]
     assert values.dtype == (np.int64 if all(int(t) < 2**63 for t in texts) else object)
+
+
+# Status numbers take one path: each distinct stripped field goes through
+# ``int``/``float`` once, whichever reader gave the column.
+_status_intervals = spaced(
+    st.one_of(
+        st.integers(-3, 50).map(str),
+        st.sampled_from(["+4", "-0", "007", "1_0", "9" * 19, "9" * 25, "-" + "9" * 19, "-" + "9" * 25, "3.0", "x", ""]),
+    )
+)
+_status_minutes = spaced(
+    st.one_of(
+        st.floats(-1, 40).map(repr),
+        st.sampled_from(["30", "30.0", "+7.5", "-0.0", ".5", "1.", "1e1", "-nan", "inf", "9" * 40, "1_0.5", "x", "", "."]),
+    )
+)
+
+
+@st.composite
+def status_number_rows(draw):
+    """Status rows whose number fields repeat: each column draws its rows
+    from a few fields, so one value may come with and without spaces."""
+    pools = [draw(st.lists(field, min_size=1, max_size=5)) for field in (_status_intervals, _status_minutes, _status_minutes)]
+    return [
+        [draw(st.sampled_from(["a", "b"]))] + [draw(st.sampled_from(pool)) for pool in pools]
+        for _ in range(draw(st.integers(1, 30)))
+    ]
+
+
+def rejects(parse, text) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return True
+    return False
+
+
+def test_status_numbers_parse_once_per_distinct_field(monkeypatch):
+    """On the byte pass and on ``csv.reader`` alike, a status file loads to
+    the values and dtypes of a row-by-row ``int``/``float`` parse or fails
+    with its message, and each distinct stripped field is parsed once, in
+    order of first appearance, up to the first one rejected."""
+    taken = byte_pass_spy(monkeypatch)
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, quoted = Path(tmp) / "plain.csv", Path(tmp) / "quoted.csv"
+
+        @given(status_number_rows())
+        @settings(max_examples=300)
+        def check(rows):
+            plain.write_text(STATUS + "".join(",".join(row) + "\n" for row in rows))
+            quoted.write_text(STATUS + "".join(",".join(row) + "\n" for row in [[f'"{rows[0][0]}"', *rows[0][1:]], *rows[1:]]))
+            for path, byte_pass in ((plain, True), (quoted, False)):
+                taken.clear()
+                got = outcome(load_status_csv, path)
+                assert taken == [byte_pass]
+                expected = outcome(record_load_status_csv, path)
+                if expected[0] != "ok":
+                    assert got == expected
+                    continue
+                assert got[0] == "ok" and repr(table(got[1])) == repr(table(expected[1]))
+                intervals = [r.interval_index for r in expected[1]]
+                assert got[1].interval.dtype == (np.int64 if all(-(2**63) <= i < 2**63 for i in intervals) else object)
+                for name in ("minutes_nonempty", "minutes_nonfull"):
+                    column = getattr(got[1], name)
+                    bits = np.array([getattr(r, name) for r in expected[1]]).view(np.uint64)
+                    assert column.dtype == np.float64 and column.view(np.uint64).tolist() == bits.tolist()
+
+                columns, _ = demand._read_columns(path, "status", demand._STATUS_COLUMNS)
+                for column, parse, dtype in zip(columns[1:], (int, float, float), (np.int64, np.float64, np.float64)):
+                    texts = [f.decode() for f in column.tolist()] if isinstance(column, np.ndarray) else column
+                    calls = []
+                    values, bad = demand._numbers(column, lambda text: calls.append(text) or parse(text), dtype)
+                    distinct = list(dict.fromkeys(text.strip() for text in texts))
+                    stop = next((k for k, text in enumerate(distinct) if rejects(parse, text)), len(distinct) - 1)
+                    assert calls == distinct[: stop + 1]
+                    assert bad == next((i for i, text in enumerate(texts) if rejects(parse, text)), len(texts))
+                    assert repr(values[:bad].tolist()) == repr([parse(text) for text in texts[:bad]])
+
+        check()
